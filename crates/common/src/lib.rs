@@ -33,6 +33,8 @@
 mod addr;
 mod counter;
 mod cycle;
+/// The prefetch event stream: the plain-data `Event` and its sink trait.
+pub mod event;
 /// Metric handles (counters, histograms, gauges) shared with `psb-obs`.
 pub mod metrics;
 mod rng;

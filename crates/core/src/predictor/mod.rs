@@ -104,7 +104,7 @@ pub trait StreamPredictor {
     /// Attaches an observability sink: predictors with internal stages
     /// worth watching (e.g. the SFM's stride filter in front of its
     /// Markov table) register counters here. The default is a no-op.
-    fn attach_obs(&mut self, obs: &dyn crate::obs::StreamObs) {
+    fn attach_obs(&mut self, obs: &dyn crate::StreamObs) {
         let _ = obs;
     }
 }

@@ -1,8 +1,8 @@
 //! The Stride-Filtered Markov (SFM) predictor — the predictor the paper
 //! uses to direct its stream buffers.
 
-use crate::obs::StreamObs;
 use crate::predictor::{AllocInfo, MarkovTable, StreamPredictor, StreamState, StrideTable};
+use crate::StreamObs;
 use psb_common::metrics::Counter;
 use psb_common::Addr;
 

@@ -124,7 +124,7 @@ pub trait Prefetcher {
     /// Attaches an observability sink: the engine registers its metric
     /// handles and starts reporting prefetch-lifecycle events through
     /// `obs`. The default ignores the sink (e.g. [`NoPrefetch`]).
-    fn attach_obs(&mut self, obs: &crate::obs::SharedStreamObs) {
+    fn attach_obs(&mut self, obs: &crate::SharedStreamObs) {
         let _ = obs;
     }
 

@@ -1,11 +1,12 @@
 //! The stream-buffer prefetch engine.
 
-use crate::obs::SharedStreamObs;
 use crate::predictor::{
     normalize_stride, PcStridePredictor, SequentialPredictor, SfmPredictor, StreamPredictor,
 };
 use crate::prefetcher::{PrefetchSink, PrefetchStats, Prefetcher, SbLookup};
 use crate::stream::{AllocFilter, SbConfig, SbEntry, Scheduler, StreamBuffer};
+use crate::SharedStreamObs;
+use psb_common::event::{Emitter, Event, EventKind};
 use psb_common::{Addr, Cycle};
 
 /// Which shared resource a buffer is competing for this cycle.
@@ -55,11 +56,8 @@ pub struct StreamEngine<P> {
     rr_predict: usize,
     rr_prefetch: usize,
     name: String,
-    /// Observability sink, when attached; `None` costs nothing.
-    obs: Option<SharedStreamObs>,
-    /// Cached at attach time: whether the hub wants per-block events
-    /// (tracing or lifecycle logging), which require extra entry scans.
-    obs_detail: bool,
+    /// Where lifecycle events go; detached, each emission is one branch.
+    events: Emitter,
 }
 
 /// The paper's Predictor-Directed Stream Buffer: a [`StreamEngine`]
@@ -137,8 +135,7 @@ impl<P: StreamPredictor> StreamEngine<P> {
             rr_predict: 0,
             rr_prefetch: 0,
             name,
-            obs: None,
-            obs_detail: false,
+            events: Emitter::default(),
         }
     }
 
@@ -171,53 +168,33 @@ impl<P: StreamPredictor> StreamEngine<P> {
             if !b.has_in_flight() {
                 continue;
             }
-            if self.obs_detail {
-                // Per-block fill events need the blocks about to be
-                // promoted; only scanned when tracing is on.
-                if let Some(obs) = &self.obs {
-                    for e in b.entries() {
-                        if let SbEntry::InFlight { block, ready } = e {
-                            if ready <= now {
-                                obs.filled_block(now.raw(), i, block.base(self.config.block).raw());
-                            }
-                        }
+            if self.events.wants(EventKind::Filled) {
+                // Fill events name the blocks about to be promoted; only
+                // scanned when a subscriber wants them.
+                for idx in 0..b.len() {
+                    if b.is_in_flight(idx) && b.fill_ready_at(idx) <= now {
+                        let block = b.block_at(idx).base(self.config.block);
+                        self.events.emit(Event::Filled { cycle: now, buffer: i, block });
                     }
                 }
             }
-            let promoted = b.promote_arrived(now);
-            if promoted > 0 {
-                if let Some(obs) = &self.obs {
-                    obs.filled(now.raw(), i, promoted as u64);
-                }
-            }
+            b.promote_arrived(now);
         }
     }
 
-    /// Samples `buffer`'s occupancy counter track after a state change
-    /// (trace-only: a no-op unless per-block detail is on).
+    /// Samples `buffer`'s occupancy after a state change (a no-op unless
+    /// a subscriber wants occupancy events).
     fn emit_occupancy(&self, now: Cycle, buffer: usize) {
-        if !self.obs_detail {
+        if !self.events.wants(EventKind::Occupancy) {
             return;
         }
-        let Some(obs) = &self.obs else {
-            return;
-        };
         let b = &self.buffers[buffer];
-        let (mut ready, mut in_flight) = (0u64, 0u64);
-        for i in 0..b.len() {
-            if b.is_ready(i) {
-                ready += 1;
-            } else if b.is_in_flight(i) {
-                in_flight += 1;
-            }
-        }
-        obs.buffer_occupancy(
-            now.raw(),
-            buffer,
-            ready,
-            in_flight,
-            self.buffers[buffer].priority() as u64,
-        );
+        let count = |state: fn(&StreamBuffer, usize) -> bool| {
+            (0..b.len()).filter(|&i| state(b, i)).count() as u64
+        };
+        let (ready, in_flight) = (count(StreamBuffer::is_ready), count(StreamBuffer::is_in_flight));
+        let priority = b.priority() as u64;
+        self.events.emit(Event::Occupancy { cycle: now, buffer, ready, in_flight, priority });
     }
 
     /// Publishes the whole stream file to the invariant auditor
@@ -344,9 +321,8 @@ impl<P: StreamPredictor> Prefetcher for StreamEngine<P> {
                 // Predicted but never prefetched: the demand access
                 // wins the race; free the entry and treat as a miss.
                 self.buffers[i].set_entry(idx, SbEntry::Empty);
-                if let Some(obs) = &self.obs {
-                    obs.demand_raced(now.raw(), i, block.base(self.config.block).raw());
-                }
+                let block = block.base(self.config.block);
+                self.events.emit(Event::Raced { cycle: now, buffer: i, block });
                 return SbLookup::Miss;
             }
             // In flight or ready (find() never returns empty slots):
@@ -363,11 +339,10 @@ impl<P: StreamPredictor> Prefetcher for StreamEngine<P> {
             self.buffers[i].set_entry(idx, SbEntry::Empty);
             self.buffers[i].reward(bonus);
             self.buffers[i].touch(stamp);
-            if let Some(obs) = &self.obs {
-                let late_by = ready.raw().saturating_sub(now.raw());
-                obs.used(now.raw(), i, block.base(self.config.block).raw(), late_by);
-                self.emit_occupancy(now, i);
-            }
+            let (block, late_by) =
+                (block.base(self.config.block), ready.raw().saturating_sub(now.raw()));
+            self.events.emit(Event::Used { cycle: now, buffer: i, block, late_by });
+            self.emit_occupancy(now, i);
             return SbLookup::Hit { ready };
         }
         SbLookup::Miss
@@ -412,23 +387,23 @@ impl<P: StreamPredictor> Prefetcher for StreamEngine<P> {
         };
         let stride = normalize_stride(stride, self.config.block);
         let stamp = self.bump();
-        if let Some(obs) = self.obs.clone() {
-            // Entries holding fetched-but-unused data die here: the
-            // paper's "evicted unused" lifecycle terminus.
-            let displaced = self.buffers[victim].fetched_unused() as u64;
-            if self.obs_detail {
-                for e in self.buffers[victim].entries() {
-                    if let SbEntry::InFlight { block, .. } | SbEntry::Ready { block } = e {
-                        obs.evicted_unused_block(
-                            now.raw(),
-                            victim,
-                            block.base(self.config.block).raw(),
-                        );
-                    }
+        // Entries holding fetched-but-unused data die here: the paper's
+        // "evicted unused" lifecycle terminus.
+        if self.events.wants(EventKind::Evicted) {
+            for e in self.buffers[victim].entries() {
+                if let SbEntry::InFlight { block, .. } | SbEntry::Ready { block } = e {
+                    let block = block.base(self.config.block);
+                    self.events.emit(Event::Evicted { cycle: now, buffer: victim, block });
                 }
             }
-            obs.stream_allocated(now.raw(), victim, pc.raw(), confidence as u64, displaced);
         }
+        self.events.emit(Event::Allocated {
+            cycle: now,
+            buffer: victim,
+            pc,
+            confidence: confidence as u64,
+            displaced: self.buffers[victim].fetched_unused() as u64,
+        });
         self.buffers[victim].reallocate(pc, addr, stride, confidence, stamp);
         // History-based predictors seed the stream's one-deep history
         // from the predictor's tables ("it copies its PC, current
@@ -456,9 +431,8 @@ impl<P: StreamPredictor> Prefetcher for StreamEngine<P> {
                         .first_empty()
                         .expect("invariant: can_predict verified a free entry");
                     self.buffers[i].set_entry(idx, SbEntry::Allocated { block });
-                    if let Some(obs) = &self.obs {
-                        obs.predicted(now.raw(), i, block.base(self.config.block).raw());
-                    }
+                    let block = block.base(self.config.block);
+                    self.events.emit(Event::Predicted { cycle: now, buffer: i, block });
                 }
             }
         }
@@ -479,10 +453,9 @@ impl<P: StreamPredictor> Prefetcher for StreamEngine<P> {
                 let ready = sink.fetch(now, block.base(self.config.block));
                 self.buffers[i].set_entry(idx, SbEntry::InFlight { block, ready });
                 self.stats.issued += 1;
-                if let Some(obs) = &self.obs {
-                    obs.issued(now.raw(), i, block.base(self.config.block).raw(), ready.raw());
-                    self.emit_occupancy(now, i);
-                }
+                let block = block.base(self.config.block);
+                self.events.emit(Event::Issued { cycle: now, buffer: i, block, ready });
+                self.emit_occupancy(now, i);
             }
         }
 
@@ -505,17 +478,16 @@ impl<P: StreamPredictor> Prefetcher for StreamEngine<P> {
         return false;
         #[cfg(not(feature = "check"))]
         {
-            self.obs.is_none() && self.buffers.iter().all(StreamBuffer::is_quiescent)
+            !self.events.is_attached() && self.buffers.iter().all(StreamBuffer::is_quiescent)
         }
     }
 
     fn attach_obs(&mut self, obs: &SharedStreamObs) {
-        self.obs_detail = obs.wants_block_events();
-        for i in 0..self.buffers.len() {
-            obs.name_buffer_track(i, &format!("stream-buffer-{i}"));
+        self.events = Emitter::new(obs.clone());
+        for buffer in 0..self.buffers.len() {
+            self.events.emit(Event::Buffer { buffer });
         }
         self.predictor.attach_obs(obs.as_ref());
-        self.obs = Some(obs.clone());
     }
 
     fn stats(&self) -> PrefetchStats {
@@ -530,70 +502,24 @@ impl<P: StreamPredictor> Prefetcher for StreamEngine<P> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::StreamObs;
     use crate::prefetcher::TestSink;
+    use crate::StreamObs;
     use psb_obs::Obs;
+    use std::cell::RefCell;
     use std::rc::Rc;
 
-    /// Bridges the dev-only `psb_obs::Obs` hub onto the engine's sink
-    /// trait (production code uses the simulator's own bridge).
-    struct ObsBridge(Obs);
-
-    impl StreamObs for ObsBridge {
-        fn counter(&self, name: &str) -> psb_common::metrics::Counter {
-            self.0.counter(name)
-        }
-        fn wants_block_events(&self) -> bool {
-            self.0.wants_block_events()
-        }
-        fn name_buffer_track(&self, buffer: usize, name: &str) {
-            self.0.name_buffer_track(buffer, name);
-        }
-        fn stream_allocated(
-            &self,
-            now: u64,
-            buffer: usize,
-            pc: u64,
-            confidence: u64,
-            displaced: u64,
-        ) {
-            self.0.stream_allocated(now, buffer, pc, confidence, displaced);
-        }
-        fn evicted_unused_block(&self, now: u64, buffer: usize, block_base: u64) {
-            self.0.evicted_unused_block(now, buffer, block_base);
-        }
-        fn predicted(&self, now: u64, buffer: usize, block_base: u64) {
-            self.0.predicted(now, buffer, block_base);
-        }
-        fn issued(&self, now: u64, buffer: usize, block_base: u64, ready: u64) {
-            self.0.issued(now, buffer, block_base, ready);
-        }
-        fn filled(&self, now: u64, buffer: usize, count: u64) {
-            self.0.filled(now, buffer, count);
-        }
-        fn filled_block(&self, now: u64, buffer: usize, block_base: u64) {
-            self.0.filled_block(now, buffer, block_base);
-        }
-        fn used(&self, now: u64, buffer: usize, block_base: u64, late_by: u64) {
-            self.0.used(now, buffer, block_base, late_by);
-        }
-        fn demand_raced(&self, now: u64, buffer: usize, block_base: u64) {
-            self.0.demand_raced(now, buffer, block_base);
-        }
-        fn buffer_occupancy(
-            &self,
-            now: u64,
-            buffer: usize,
-            ready: u64,
-            in_flight: u64,
-            priority: u64,
-        ) {
-            self.0.buffer_occupancy(now, buffer, ready, in_flight, priority);
-        }
+    fn shared(obs: &Obs) -> SharedStreamObs {
+        Rc::new(obs.clone())
     }
 
-    fn shared(obs: &Obs) -> SharedStreamObs {
-        Rc::new(ObsBridge(obs.clone()))
+    /// Forwards every event to the hub and keeps a copy.
+    struct Tape(Obs, RefCell<Vec<Event>>);
+
+    impl StreamObs for Tape {
+        fn emit(&self, event: &Event) {
+            self.0.emit(event);
+            self.1.borrow_mut().push(*event);
+        }
     }
 
     /// Trains a strided PC enough to open every filter, then allocates.
@@ -906,8 +832,8 @@ mod tests {
         let mut e = engine_with_stream(SbConfig::stride_baseline());
         let obs = Obs::new();
         obs.enable_trace(1024);
-        obs.enable_lifecycle_log();
-        e.attach_obs(&shared(&obs));
+        let tape = Rc::new(Tape(obs.clone(), RefCell::new(Vec::new())));
+        e.attach_obs(&(tape.clone() as SharedStreamObs));
         let mut sink = TestSink::new(5);
         for c in 0..20 {
             e.tick(Cycle::new(c), &mut sink);
@@ -923,10 +849,10 @@ mod tests {
         assert_eq!(s.used, 2);
         assert_eq!(s.used_late, 1);
         assert!(s.late_cycles.mean() > 0.0);
-        // Per-block lifecycle events were staged for the event log.
-        let staged = obs.drain_life_events();
-        assert!(staged.iter().any(|ev| ev.stage == psb_obs::LifeStage::Filled));
-        assert!(staged.iter().any(|ev| ev.stage == psb_obs::LifeStage::Late));
+        // Per-block events reach a subscriber that asks for every kind.
+        let events = tape.1.borrow();
+        assert!(events.iter().any(|ev| matches!(ev, Event::Filled { .. })));
+        assert!(events.iter().any(|ev| matches!(ev, Event::Used { late_by: 1.., .. })));
         // The trace carries the buffer track plus lifecycle events.
         let t = obs.trace_json().unwrap();
         let events = t.get("traceEvents").and_then(psb_obs::Json::as_arr).unwrap();

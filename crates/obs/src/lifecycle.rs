@@ -4,14 +4,18 @@
 //! 6–9 argue about:
 //!
 //! ```text
-//! predicted (entry allocated) → issued (on the bus) → filled (arrived)
-//!     → used           (a demand access consumed it)
-//!     → used late      (demanded while still in flight)
-//!     → evicted unused (its stream buffer was reallocated first)
+//! predicted → issued → filled → used            (a demand access consumed it)
+//!     │         │        └────→ evicted unused  (its buffer was reallocated first)
+//!     │         ├────→ used late                (demanded while still in flight)
+//!     │         └────→ evicted unused           (reallocated while in flight)
+//!     └────→ demand raced                       (a demand miss reached it first)
 //! ```
 //!
-//! [`LifecycleStats`] holds the aggregate counts; [`LifeEvent`] is the
-//! per-block record the simulator forwards into its bounded event log.
+//! A predicted entry still waiting to issue when its buffer is
+//! reallocated ends in no counted stage.
+//!
+//! [`LifecycleStats`] holds the aggregate counts the hub accumulates from
+//! the event stream ([`psb_common::event::Event`]).
 
 use crate::json::Json;
 use psb_common::stats::RunningMean;
@@ -34,11 +38,11 @@ pub struct LifecycleStats {
     pub used_late: u64,
     /// Cycles of residual latency paid by late uses.
     pub late_cycles: RunningMean,
-    /// Entries holding a predicted or fetched block that were discarded
-    /// when their buffer was reallocated to a new stream.
+    /// Entries holding a fetched block (in flight or arrived) that were
+    /// discarded when their buffer was reallocated to a new stream.
     pub evicted_unused: u64,
-    /// Allocated (not yet issued) entries freed because the demand
-    /// stream reached them before the prefetch port did.
+    /// Predicted (not yet issued) entries freed because a demand miss
+    /// reached them before the prefetch port did.
     pub demand_raced: u64,
 }
 
@@ -57,31 +61,6 @@ impl LifecycleStats {
             ("demand_raced", Json::u64(self.demand_raced)),
         ])
     }
-}
-
-/// A lifecycle stage transition worth logging per block.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub enum LifeStage {
-    /// The block arrived in its stream buffer.
-    Filled,
-    /// The block was discarded, never used, at stream reallocation.
-    EvictedUnused,
-    /// A demand access hit the block while it was still in flight.
-    Late,
-}
-
-/// One per-block lifecycle record, forwarded into the simulator's
-/// memory event log.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct LifeEvent {
-    /// Cycle of the transition.
-    pub cycle: u64,
-    /// Index of the stream buffer involved.
-    pub buffer: usize,
-    /// Base address of the block.
-    pub block_base: u64,
-    /// Which transition happened.
-    pub stage: LifeStage,
 }
 
 #[cfg(test)]

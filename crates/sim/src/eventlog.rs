@@ -1,94 +1,17 @@
 //! Memory event logging for debugging and teaching.
 //!
 //! When enabled, the memory system records how each access was served —
-//! L1 hit, stream-buffer hit, victim rescue, demand fetch, prefetch — up
-//! to a capacity, so a user can watch the prefetcher run ahead of a
-//! pointer chase cycle by cycle (`psbsim --log N`).
+//! L1 hit, stream-buffer hit, victim rescue, demand fetch, prefetch —
+//! and what became of each prefetched block — filled, used late, evicted
+//! unused — up to a capacity, so a user can watch the prefetcher run
+//! ahead of a pointer chase cycle by cycle (`psbsim --log N`). The log
+//! subscribes to the event stream ([`psb_common::event`]) and writes
+//! lines in the order the events happen.
 
-use psb_common::{Addr, Cycle};
+use psb_common::event::{Event, EventKind};
+pub use psb_common::event::{MemEvent, MemEventKind};
 use std::cell::RefCell;
-use std::fmt;
 use std::rc::Rc;
-
-/// How a memory event was resolved.
-#[derive(Copy, Clone, Debug, PartialEq, Eq, Hash)]
-pub enum MemEventKind {
-    /// Demand load hit the L1.
-    L1Hit,
-    /// Demand access merged with an in-flight fill.
-    L1InFlight,
-    /// Demand miss found the block resident in a stream/prefetch buffer.
-    SbHitReady,
-    /// Demand miss found the block in flight to a stream/prefetch buffer.
-    SbHitInFlight,
-    /// Demand miss rescued by the victim cache.
-    VictimHit,
-    /// Demand miss fetched from the L2.
-    DemandL2,
-    /// Demand miss fetched from main memory.
-    DemandMemory,
-    /// Store miss (write-allocate fetch, nothing waits on it).
-    StoreMiss,
-    /// Prefetch issued by the prefetch engine.
-    Prefetch,
-    /// Instruction-fetch miss.
-    IFetchMiss,
-    /// Prefetched block arrived in its stream buffer (lifecycle event,
-    /// emitted only when observability tracing is attached).
-    PrefetchFilled,
-    /// Prefetched block was displaced by a stream reallocation before any
-    /// demand access touched it (a wasted prefetch).
-    PrefetchEvictedUnused,
-    /// Demand access consumed a prefetch that was still in flight — the
-    /// prefetch was useful but late.
-    PrefetchLate,
-}
-
-impl fmt::Display for MemEventKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let s = match self {
-            MemEventKind::L1Hit => "l1-hit",
-            MemEventKind::L1InFlight => "l1-inflight",
-            MemEventKind::SbHitReady => "sb-hit",
-            MemEventKind::SbHitInFlight => "sb-inflight",
-            MemEventKind::VictimHit => "victim-hit",
-            MemEventKind::DemandL2 => "demand-l2",
-            MemEventKind::DemandMemory => "demand-mem",
-            MemEventKind::StoreMiss => "store-miss",
-            MemEventKind::Prefetch => "prefetch",
-            MemEventKind::IFetchMiss => "ifetch-miss",
-            MemEventKind::PrefetchFilled => "pf-filled",
-            MemEventKind::PrefetchEvictedUnused => "pf-evicted",
-            MemEventKind::PrefetchLate => "pf-late",
-        };
-        f.write_str(s)
-    }
-}
-
-/// One recorded memory event.
-#[derive(Copy, Clone, Debug, PartialEq, Eq)]
-pub struct MemEvent {
-    /// Cycle the access was made.
-    pub cycle: Cycle,
-    /// PC of the instruction, when applicable.
-    pub pc: Option<Addr>,
-    /// The accessed (or prefetched) address.
-    pub addr: Addr,
-    /// Cycle the data is available.
-    pub ready: Cycle,
-    /// How it resolved.
-    pub kind: MemEventKind,
-}
-
-impl fmt::Display for MemEvent {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "cy{:<8} {:<12} addr={:<12}", self.cycle.raw(), self.kind, self.addr)?;
-        if let Some(pc) = self.pc {
-            write!(f, " pc={pc}")?;
-        }
-        write!(f, " ready=cy{} (+{})", self.ready.raw(), self.ready.since(self.cycle))
-    }
-}
 
 /// Retention policy for a [`MemLog`].
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -113,11 +36,13 @@ pub struct MemLog {
     head: usize,
     /// Total events submitted, including those dropped or overwritten.
     submitted: u64,
+    /// A late use, held until the line of the access that consumed it.
+    late: Option<MemEvent>,
     /// Cycle stamp of the most recently recorded event. The invariant
     /// auditor compares against this rather than `events.last()` because
     /// ring mode rotates storage order away from record order.
     #[cfg(feature = "check")]
-    last_recorded: Option<Cycle>,
+    last_recorded: Option<psb_common::Cycle>,
     /// Allowed backward cycle skew between consecutive entries, published
     /// to the invariant auditor: demand events are stamped after address
     /// translation, so a TLB miss can push one ahead of later same-cycle
@@ -137,6 +62,7 @@ impl MemLog {
             retention,
             head: 0,
             submitted: 0,
+            late: None,
             #[cfg(feature = "check")]
             last_recorded: None,
             #[cfg(feature = "check")]
@@ -161,6 +87,37 @@ impl MemLog {
     #[cfg(feature = "check")]
     pub fn set_check_skew(&mut self, skew: u64) {
         self.check_skew = skew;
+    }
+
+    /// The event kinds the log prints.
+    pub(crate) const INTEREST: u32 = EventKind::Access.bit()
+        | EventKind::Filled.bit()
+        | EventKind::Evicted.bit()
+        | EventKind::Used.bit();
+
+    /// Writes the line for `event`, if it prints one. A stream-buffer
+    /// lookup reports a late use before the memory system knows how the
+    /// access resolved, so the `pf-late` line follows the access line.
+    pub(crate) fn emit(&mut self, event: &Event) {
+        let line = |cycle, addr, kind| MemEvent { cycle, pc: None, addr, ready: cycle, kind };
+        match *event {
+            Event::Access(access) => {
+                self.record(access);
+                if let Some(late) = self.late.take() {
+                    self.record(late);
+                }
+            }
+            Event::Filled { cycle, block, .. } => {
+                self.record(line(cycle, block, MemEventKind::PrefetchFilled));
+            }
+            Event::Evicted { cycle, block, .. } => {
+                self.record(line(cycle, block, MemEventKind::PrefetchEvictedUnused));
+            }
+            Event::Used { cycle, block, late_by: 1.., .. } => {
+                self.late = Some(line(cycle, block, MemEventKind::PrefetchLate));
+            }
+            _ => {}
+        }
     }
 
     /// Records an event, subject to the retention policy.
@@ -230,6 +187,7 @@ impl MemLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psb_common::{Addr, Cycle};
 
     fn ev(cycle: u64, kind: MemEventKind) -> MemEvent {
         MemEvent {
@@ -313,5 +271,31 @@ mod tests {
         log.borrow_mut().record(ev(1, MemEventKind::L1Hit));
         assert_eq!(log.borrow().submitted(), 1);
         assert!(log.borrow().events().is_empty());
+    }
+
+    #[test]
+    fn lifecycle_events_print_in_order_with_late_use_after_its_access() {
+        let shared = MemLog::shared(16);
+        let mut log = shared.borrow_mut();
+        let (cycle, block) = (Cycle::new(7), Addr::new(0x1000));
+        let used = |late_by| Event::Used { cycle, buffer: 0, block, late_by };
+        log.emit(&Event::Filled { cycle, buffer: 0, block });
+        log.emit(&used(0));
+        log.emit(&used(5));
+        log.emit(&Event::Predicted { cycle, buffer: 0, block });
+        assert_eq!(log.events().len(), 1, "on-time uses and predictions print nothing");
+        log.emit(&Event::Access(ev(7, MemEventKind::SbHitInFlight)));
+        log.emit(&Event::Evicted { cycle, buffer: 1, block });
+        let kinds: Vec<_> = log.events().iter().map(|e| e.kind).collect();
+        assert_eq!(
+            kinds,
+            [
+                MemEventKind::PrefetchFilled,
+                MemEventKind::SbHitInFlight,
+                MemEventKind::PrefetchLate,
+                MemEventKind::PrefetchEvictedUnused,
+            ]
+        );
+        assert_eq!(log.events()[2].addr, block);
     }
 }

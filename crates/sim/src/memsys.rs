@@ -1,62 +1,43 @@
 //! The composed memory system presented to the pipeline.
 
-use crate::eventlog::{MemEvent, MemEventKind, SharedMemLog};
+use crate::eventlog::{MemEvent, MemEventKind, MemLog, SharedMemLog};
 use crate::MachineConfig;
+use psb_common::event::{Emitter, Event};
+use psb_common::metrics::Counter;
 use psb_common::{Addr, Cycle};
 use psb_core::{PrefetchSink, Prefetcher, SbLookup, SharedStreamObs, StreamObs};
 use psb_cpu::MemSystem;
 use psb_mem::{L1Access, L1Cache, LowerMemory, Tlb, VictimCache};
-use psb_obs::{IntervalSample, LifeStage, Obs};
+use psb_obs::{IntervalSample, Obs};
 use std::rc::Rc;
 
-/// Bridges the observability hub onto the core engines' [`StreamObs`]
-/// sink trait. Core crates no longer depend on `psb-obs` (layering:
-/// hardware model below observability); this newtype is where the
-/// simulator reconnects the two.
-struct ObsBridge(Obs);
-
-impl StreamObs for ObsBridge {
-    fn counter(&self, name: &str) -> psb_common::metrics::Counter {
-        self.0.counter(name)
-    }
-    fn wants_block_events(&self) -> bool {
-        self.0.wants_block_events()
-    }
-    fn name_buffer_track(&self, buffer: usize, name: &str) {
-        self.0.name_buffer_track(buffer, name);
-    }
-    fn stream_allocated(&self, now: u64, buffer: usize, pc: u64, confidence: u64, displaced: u64) {
-        self.0.stream_allocated(now, buffer, pc, confidence, displaced);
-    }
-    fn evicted_unused_block(&self, now: u64, buffer: usize, block_base: u64) {
-        self.0.evicted_unused_block(now, buffer, block_base);
-    }
-    fn predicted(&self, now: u64, buffer: usize, block_base: u64) {
-        self.0.predicted(now, buffer, block_base);
-    }
-    fn issued(&self, now: u64, buffer: usize, block_base: u64, ready: u64) {
-        self.0.issued(now, buffer, block_base, ready);
-    }
-    fn filled(&self, now: u64, buffer: usize, count: u64) {
-        self.0.filled(now, buffer, count);
-    }
-    fn filled_block(&self, now: u64, buffer: usize, block_base: u64) {
-        self.0.filled_block(now, buffer, block_base);
-    }
-    fn used(&self, now: u64, buffer: usize, block_base: u64, late_by: u64) {
-        self.0.used(now, buffer, block_base, late_by);
-    }
-    fn demand_raced(&self, now: u64, buffer: usize, block_base: u64) {
-        self.0.demand_raced(now, buffer, block_base);
-    }
-    fn buffer_occupancy(&self, now: u64, buffer: usize, ready: u64, in_flight: u64, priority: u64) {
-        self.0.buffer_occupancy(now, buffer, ready, in_flight, priority);
-    }
+/// Every attached subscriber to the event stream — the hub and the
+/// event log — behind the one handle the engine and the prefetch path
+/// emit into.
+#[derive(Clone, Default)]
+struct Subscribers {
+    obs: Option<Obs>,
+    log: Option<SharedMemLog>,
 }
 
-/// Wraps the hub in a shareable [`StreamObs`] handle for the engines.
-fn stream_obs(obs: &Obs) -> SharedStreamObs {
-    Rc::new(ObsBridge(obs.clone()))
+impl StreamObs for Subscribers {
+    fn emit(&self, event: &Event) {
+        if let Some(obs) = &self.obs {
+            obs.emit(event);
+        }
+        if let Some(log) = &self.log {
+            log.borrow_mut().emit(event);
+        }
+    }
+
+    fn interest(&self) -> u32 {
+        let log = if self.log.is_some() { MemLog::INTEREST } else { 0 };
+        self.obs.as_ref().map_or(0, StreamObs::interest) | log
+    }
+
+    fn counter(&self, name: &str) -> Counter {
+        self.obs.as_ref().map_or_else(Counter::new, |obs| obs.counter(name))
+    }
 }
 
 /// The lower world shared by demand misses and prefetches: the L2 +
@@ -67,7 +48,9 @@ struct Lower {
     lower: LowerMemory,
     dtlb: Tlb,
     l1_block: u64,
-    log: Option<SharedMemLog>,
+    /// The subscribers' handle; the memory system's access records go
+    /// through it too.
+    events: Emitter,
 }
 
 impl PrefetchSink for Lower {
@@ -89,15 +72,8 @@ impl PrefetchSink for Lower {
         // Section 4.5).
         let (ready, _) = self.dtlb.translate(now, addr, true);
         let done = self.lower.fetch_block(ready, addr, self.l1_block).ready;
-        if let Some(log) = &self.log {
-            log.borrow_mut().record(MemEvent {
-                cycle: now,
-                pc: None,
-                addr,
-                ready: done,
-                kind: MemEventKind::Prefetch,
-            });
-        }
+        let kind = MemEventKind::Prefetch;
+        self.events.emit(Event::Access(MemEvent { cycle: now, pc: None, addr, ready: done, kind }));
         done
     }
 }
@@ -122,8 +98,7 @@ pub struct SimMemory {
     inner: Lower,
     prefetcher: Box<dyn Prefetcher>,
     victim: Option<VictimCache>,
-    log: Option<SharedMemLog>,
-    obs: Option<Obs>,
+    subscribers: Subscribers,
     /// Next cycle the interval sampler is due, or `u64::MAX` when
     /// interval sampling is off — keeps the per-cycle
     /// [`MemSystem::sample`] hook to a single compare.
@@ -179,13 +154,12 @@ impl SimMemory {
                     mem.dtlb_miss_latency,
                 ),
                 l1_block: mem.l1d.block,
-                log: None,
+                events: Emitter::default(),
             },
             prefetcher,
             victim: (config.victim_entries > 0)
                 .then(|| VictimCache::new(config.victim_entries, mem.l1d.block, 1)),
-            log: None,
-            obs: None,
+            subscribers: Subscribers::default(),
             next_sample: u64::MAX,
             sample_every: 0,
             pf_idle: false,
@@ -203,26 +177,19 @@ impl SimMemory {
         self.pf_idle = false;
     }
 
-    /// Attaches a shared event log; demand accesses, prefetches and
-    /// I-fetch misses are recorded until it fills.
+    /// Attaches a shared event log; demand accesses, prefetches, I-fetch
+    /// misses and the fills, late uses and unused evictions of prefetched
+    /// blocks are recorded until it fills.
     pub fn attach_log(&mut self, log: SharedMemLog) {
         #[cfg(feature = "check")]
         log.borrow_mut().set_check_skew(self.inner.dtlb.miss_latency());
-        self.inner.log = Some(log.clone());
-        self.log = Some(log);
-        self.pf_idle = false;
-        if let Some(obs) = &self.obs {
-            // With both a log and an obs hub attached, route the
-            // prefetch-lifecycle events into the log too; re-attach the
-            // prefetcher so it refreshes its cached event-detail flag.
-            obs.enable_lifecycle_log();
-            self.prefetcher.attach_obs(&stream_obs(obs));
-        }
+        self.subscribers.log = Some(log);
+        self.subscribe();
     }
 
     /// Attaches the observability hub: every component registers its
-    /// counters/histograms/gauges with the hub's registry, the stream
-    /// engine starts emitting lifecycle and trace events through it, and
+    /// counters/histograms/gauges with the hub's registry, the hub
+    /// subscribes to the stream engine's lifecycle events, and
     /// (when the hub has an interval sampler) per-epoch time series are
     /// recorded from [`MemSystem::sample`].
     pub fn attach_obs(&mut self, obs: &Obs) {
@@ -232,18 +199,21 @@ impl SimMemory {
         if let Some(victim) = &mut self.victim {
             victim.attach_obs(obs.counter("victim.rescues"));
         }
-        if self.log.is_some() {
-            // Must precede `prefetcher.attach_obs`: the stream engine
-            // caches whether block-level lifecycle events are wanted.
-            obs.enable_lifecycle_log();
-        }
-        self.prefetcher.attach_obs(&stream_obs(obs));
-        self.pf_idle = false;
+        self.subscribers.obs = Some(obs.clone());
+        self.subscribe();
         if let Some(every) = obs.interval_every() {
             self.sample_every = every;
             self.next_sample = every;
         }
-        self.obs = Some(obs.clone());
+    }
+
+    /// Hands one handle on every attached subscriber to the engine and
+    /// to the prefetch path, which read its interest mask once, here.
+    fn subscribe(&mut self) {
+        let subscribers: SharedStreamObs = Rc::new(self.subscribers.clone());
+        self.prefetcher.attach_obs(&subscribers);
+        self.inner.events = Emitter::new(subscribers);
+        self.pf_idle = false;
     }
 
     /// Builds the cumulative counter snapshot the interval sampler
@@ -258,7 +228,7 @@ impl SimMemory {
             l1d_misses: l1d.misses,
             pf_issued: pf.issued,
             pf_used: pf.used,
-            bus_busy: self.inner.lower.l1_l2_bus().busy_cycles(),
+            l1_l2_busy: self.inner.lower.l1_l2_bus().busy_cycles(),
         }
     }
 
@@ -269,15 +239,13 @@ impl SimMemory {
         if self.sample_every == 0 {
             return;
         }
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.subscribers.obs {
             obs.interval_record(self.interval_snapshot(now.raw(), committed));
         }
     }
 
     fn record(&self, cycle: Cycle, pc: Option<Addr>, addr: Addr, ready: Cycle, kind: MemEventKind) {
-        if let Some(log) = &self.log {
-            log.borrow_mut().record(MemEvent { cycle, pc, addr, ready, kind });
-        }
+        self.inner.events.emit(Event::Access(MemEvent { cycle, pc, addr, ready, kind }));
     }
 
     /// The victim cache, if configured.
@@ -429,31 +397,6 @@ impl MemSystem for SimMemory {
             self.prefetcher.tick(now, &mut self.inner);
             self.pf_idle = !self.force_tick && self.prefetcher.quiescent();
         }
-        // Route staged prefetch-lifecycle events (filled / evicted-unused
-        // / late) into the memory event log. The obs hub only stages them
-        // when `enable_lifecycle_log` was called, so this stays free for
-        // runs without both a log and an obs hub.
-        if let (Some(obs), Some(log)) = (&self.obs, &self.log) {
-            let events = obs.drain_life_events();
-            if !events.is_empty() {
-                let mut log = log.borrow_mut();
-                for e in events {
-                    let kind = match e.stage {
-                        LifeStage::Filled => MemEventKind::PrefetchFilled,
-                        LifeStage::EvictedUnused => MemEventKind::PrefetchEvictedUnused,
-                        LifeStage::Late => MemEventKind::PrefetchLate,
-                    };
-                    let cycle = Cycle::new(e.cycle);
-                    log.record(MemEvent {
-                        cycle,
-                        pc: None,
-                        addr: Addr::new(e.block_base),
-                        ready: cycle,
-                        kind,
-                    });
-                }
-            }
-        }
     }
 
     fn sample(&mut self, now: Cycle, committed: u64) {
@@ -462,7 +405,7 @@ impl MemSystem for SimMemory {
             return;
         }
         let snapshot = self.interval_snapshot(t, committed);
-        if let Some(obs) = &self.obs {
+        if let Some(obs) = &self.subscribers.obs {
             obs.interval_record(snapshot);
         }
         while self.next_sample <= t {

@@ -77,10 +77,11 @@ impl Simulation {
     }
 
     /// Attaches an observability hub (see [`psb_obs::Obs`]): the memory
-    /// system registers its metrics with it and, when the hub has tracing
-    /// or interval sampling enabled, emits lifecycle events and per-epoch
-    /// time series during the run. The caller keeps a clone to read the
-    /// results back after [`Simulation::run`].
+    /// system registers its metrics with it, the hub counts the stream
+    /// engine's lifecycle events, and, when the hub has tracing or
+    /// interval sampling enabled, it also records a Chrome trace and
+    /// per-epoch time series during the run. The caller keeps a clone to
+    /// read the results back after [`Simulation::run`].
     pub fn with_obs(mut self, obs: psb_obs::Obs) -> Self {
         self.obs = Some(obs);
         self
