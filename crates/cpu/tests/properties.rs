@@ -1,106 +1,17 @@
 //! Property-style tests for the out-of-order pipeline: pseudo-random
 //! well-formed traces must commit completely, in bounded time, without
-//! deadlock, under both disambiguation policies. Cases are generated
-//! from fixed seeds with the workspace PRNG so the suite runs offline.
+//! deadlock, under both disambiguation policies. Cases come from the
+//! shared fixed-seed generator in `tracegen`.
 
-use psb_common::{Addr, SplitMix64};
-use psb_cpu::{
-    BranchInfo, BranchKind, CpuConfig, Disambiguation, DynInst, FixedLatencyMemory, Op, Pipeline,
-    Reg,
-};
+mod tracegen;
 
-/// One abstract instruction choice; lowered to a consistent trace.
-#[derive(Clone, Debug)]
-enum Item {
-    Alu { dst: u8, src: u8 },
-    Fp { op: u8, dst: u8, src: u8 },
-    Load { dst: u8, base: u8, slot: u16 },
-    Store { data: u8, slot: u16 },
-    CondBranch { taken: bool },
-}
+use psb_common::SplitMix64;
+use psb_cpu::{CpuConfig, Disambiguation, FixedLatencyMemory, Pipeline};
+use tracegen::{items, lower};
 
-fn item(rng: &mut SplitMix64) -> Item {
-    match rng.below(5) {
-        0 => Item::Alu { dst: rng.below(32) as u8, src: rng.below(32) as u8 },
-        1 => {
-            Item::Fp { op: rng.below(6) as u8, dst: rng.below(32) as u8, src: rng.below(32) as u8 }
-        }
-        2 => Item::Load {
-            dst: rng.below(32) as u8,
-            base: rng.below(32) as u8,
-            slot: rng.below(1 << 16) as u16,
-        },
-        3 => Item::Store { data: rng.below(32) as u8, slot: rng.below(1 << 16) as u16 },
-        _ => Item::CondBranch { taken: rng.below(2) == 0 },
-    }
-}
-
-fn items(rng: &mut SplitMix64, max: u64) -> Vec<Item> {
-    let n = 1 + rng.below(max - 1);
-    (0..n).map(|_| item(rng)).collect()
-}
-
-/// Lowers abstract items to a control-flow-consistent trace: every branch
-/// jumps forward by 8 bytes (skipping one padding ALU when taken).
-fn lower(items: &[Item]) -> Vec<DynInst> {
-    let mut pc = Addr::new(0x10_0000);
-    let mut out = Vec::new();
-    for it in items {
-        match *it {
-            Item::Alu { dst, src } => {
-                out.push(DynInst::alu(pc, Reg::new(dst), Some(Reg::new(src)), None));
-                pc = pc.offset(4);
-            }
-            Item::Fp { op, dst, src } => {
-                let op = match op % 6 {
-                    0 => Op::FpAdd,
-                    1 => Op::FpMult,
-                    2 => Op::FpDiv,
-                    3 => Op::IntMult,
-                    4 => Op::IntDiv,
-                    _ => Op::IntAlu,
-                };
-                out.push(DynInst {
-                    pc,
-                    op,
-                    dst: Some(Reg::new(dst)),
-                    src1: Some(Reg::new(src)),
-                    src2: None,
-                    mem_addr: None,
-                    mem_size: 0,
-                    branch: None,
-                });
-                pc = pc.offset(4);
-            }
-            Item::Load { dst, base, slot } => {
-                let addr = Addr::new(0x20_0000 + slot as u64 * 8);
-                out.push(DynInst::load(pc, Reg::new(dst), Some(Reg::new(base)), addr, 8));
-                pc = pc.offset(4);
-            }
-            Item::Store { data, slot } => {
-                let addr = Addr::new(0x20_0000 + slot as u64 * 8);
-                out.push(DynInst::store(pc, Some(Reg::new(data)), None, addr, 8));
-                pc = pc.offset(4);
-            }
-            Item::CondBranch { taken } => {
-                let target = pc.offset(8);
-                out.push(DynInst::branch(
-                    pc,
-                    Some(Reg::new(1)),
-                    BranchInfo { kind: BranchKind::Conditional, taken, target },
-                ));
-                if taken {
-                    pc = target;
-                } else {
-                    pc = pc.offset(4);
-                    out.push(DynInst::alu(pc, Reg::new(0), None, None));
-                    pc = pc.offset(4);
-                }
-            }
-        }
-    }
-    out
-}
+/// Memory slots the generated loads and stores spread over: enough that
+/// they rarely alias.
+const SLOTS: u64 = 1 << 16;
 
 /// Every well-formed trace commits fully, takes at least the
 /// width-limited minimum number of cycles, and never deadlocks —
@@ -109,7 +20,7 @@ fn lower(items: &[Item]) -> Vec<DynInst> {
 fn pipeline_commits_everything() {
     let mut meta = SplitMix64::new(0xC3117);
     for case in 0..48 {
-        let trace = lower(&items(&mut meta, 200));
+        let trace = lower(&items(&mut meta, 200, SLOTS));
         let n = trace.len() as u64;
         let latency = 1 + meta.below(59);
         let perfect = meta.below(2) == 0;
@@ -137,7 +48,7 @@ fn pipeline_commits_everything() {
 fn pipeline_is_deterministic() {
     let mut meta = SplitMix64::new(0xD37);
     for case in 0..48 {
-        let trace = lower(&items(&mut meta, 100));
+        let trace = lower(&items(&mut meta, 100, SLOTS));
         let mut m1 = FixedLatencyMemory::new(7);
         let mut m2 = FixedLatencyMemory::new(7);
         let s1 = Pipeline::new(CpuConfig::baseline()).run(trace.clone(), &mut m1, u64::MAX);
@@ -153,7 +64,7 @@ fn pipeline_is_deterministic() {
 fn slower_memory_never_speeds_up() {
     let mut meta = SplitMix64::new(0x510);
     for case in 0..48 {
-        let trace = lower(&items(&mut meta, 120));
+        let trace = lower(&items(&mut meta, 120, SLOTS));
         let mut fast_mem = FixedLatencyMemory::new(1);
         let mut slow_mem = FixedLatencyMemory::new(80);
         let fast = Pipeline::new(CpuConfig::baseline()).run(trace.clone(), &mut fast_mem, u64::MAX);
