@@ -104,6 +104,15 @@ impl Addr {
     pub fn delta(self, earlier: Addr) -> i64 {
         self.0.wrapping_sub(earlier.0) as i64
     }
+
+    /// True if the `len`-byte range at `self` and the `other_len`-byte
+    /// range at `other` overlap. The range ends are computed in 128 bits,
+    /// so a range that runs past `u64::MAX` neither wraps nor panics.
+    #[inline]
+    pub fn overlaps(self, len: u64, other: Addr, other_len: u64) -> bool {
+        let end = |a: Addr, n: u64| u128::from(a.0) + u128::from(n);
+        u128::from(self.0) < end(other, other_len) && u128::from(other.0) < end(self, len)
+    }
 }
 
 impl fmt::Debug for Addr {
@@ -243,6 +252,21 @@ mod tests {
         let lo = Addr::new(4);
         assert_eq!(lo.delta(hi), 8);
         assert_eq!(hi.offset(8), lo);
+    }
+
+    #[test]
+    fn overlap_is_exact_at_the_top_of_the_address_space() {
+        let top = Addr::new(u64::MAX - 3);
+        // [MAX-3, MAX+5) against itself: the end does not wrap to 4.
+        assert!(top.overlaps(8, top, 8));
+        assert!(Addr::new(u64::MAX).overlaps(1, top, 8));
+        assert!(top.overlaps(8, Addr::new(u64::MAX), 1));
+        assert!(!Addr::new(u64::MAX - 4).overlaps(1, top, 8));
+        assert!(!top.overlaps(8, Addr::new(0), 8));
+        assert!(!Addr::new(0).overlaps(8, top, 8));
+        // Adjacent ranges do not overlap; one shared byte does.
+        assert!(!Addr::new(0x100).overlaps(8, Addr::new(0x108), 8));
+        assert!(Addr::new(0x100).overlaps(9, Addr::new(0x108), 8));
     }
 
     #[test]

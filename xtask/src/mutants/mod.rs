@@ -2,10 +2,10 @@
 //!
 //! The bench-gate asks "did the numbers regress?"; this gate asks "do
 //! the tests actually *check* anything?". The engine lexes the hot-path
-//! arena files of `psb-core` and `psb-mem` (see [`TARGETS`]), generates
-//! deterministic, stably-numbered mutants (see [`ops`]), applies each
-//! in a scratch copy of the workspace and runs that crate's test suite
-//! per mutant (see [`runner`]). A mutant the suite fails to kill is a
+//! arena files of `psb-core` and `psb-mem` and the `psb-cpu` pipeline
+//! (see [`TARGETS`]), generates deterministic, stably-numbered mutants
+//! (see [`ops`]), applies each in a scratch copy of the workspace and
+//! runs that crate's test suite per mutant (see [`runner`]). A mutant the suite fails to kill is a
 //! survivor; survivors must appear, with a one-line justification, in
 //! the committed `MUTANTS.toml` baseline (see [`baseline`]) or the run
 //! exits nonzero. New blind spots therefore cannot land silently — the
@@ -29,10 +29,11 @@ use std::path::PathBuf;
 use std::process::ExitCode;
 use std::time::Duration;
 
-/// The mutated files: the hot-path arenas flattened in PR 6, keyed by
-/// the package whose suite forms the kill suite. `psb-core` and
-/// `psb-mem` are independent crates (see the layering table), so a
-/// mutant in one never needs the other's tests.
+/// The mutated files: the flattened hot-path arenas, the two newest
+/// engines and the out-of-order pipeline, keyed by the package whose
+/// suite forms the kill suite. `psb-core`, `psb-mem` and `psb-cpu` are independent
+/// crates (see the layering table), so a mutant in one never needs
+/// another's tests.
 pub const TARGETS: &[(&str, &str)] = &[
     ("psb-core", "crates/core/src/predictor/stride.rs"),
     ("psb-core", "crates/core/src/predictor/markov.rs"),
@@ -40,6 +41,7 @@ pub const TARGETS: &[(&str, &str)] = &[
     ("psb-core", "crates/core/src/predictor/dspatch.rs"),
     ("psb-core", "crates/core/src/stream/buffer.rs"),
     ("psb-mem", "crates/mem/src/cache.rs"),
+    ("psb-cpu", "crates/cpu/src/pipeline.rs"),
 ];
 
 /// Parsed command line.

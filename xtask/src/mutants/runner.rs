@@ -283,29 +283,33 @@ fn run_suite(cfg: &Config, scratch: &Path, krate: &str, deadline: Instant) -> Op
 /// Spawns the command with discarded output and polls it against the
 /// deadline. `Some(success)` on exit, `None` on timeout (the child is
 /// killed).
+///
+/// On Unix the child leads its own process group and a timeout kills
+/// the whole group: `cargo test` runs the test binary as a grandchild,
+/// and a mutant that loops forever would otherwise keep a core busy
+/// after the run has moved on.
 fn run_to_deadline(mut cmd: Command, deadline: Instant) -> Option<bool> {
     cmd.stdout(Stdio::null()).stderr(Stdio::null()).stdin(Stdio::null());
+    #[cfg(unix)]
+    std::os::unix::process::CommandExt::process_group(&mut cmd, 0);
     let Ok(mut child) = cmd.spawn() else {
         return Some(false);
     };
-    loop {
+    let outcome = loop {
         match child.try_wait() {
             Ok(Some(status)) => return Some(status.success()),
-            Ok(None) => {
-                if Instant::now() >= deadline {
-                    let _ = child.kill();
-                    let _ = child.wait();
-                    return None;
-                }
+            Ok(None) if Instant::now() < deadline => {
                 std::thread::sleep(Duration::from_millis(25));
             }
-            Err(_) => {
-                let _ = child.kill();
-                let _ = child.wait();
-                return Some(false);
-            }
+            Ok(None) => break None,
+            Err(_) => break Some(false),
         }
-    }
+    };
+    #[cfg(unix)]
+    let _ = Command::new("kill").args(["-KILL", "--", &format!("-{}", child.id())]).status();
+    let _ = child.kill();
+    let _ = child.wait();
+    outcome
 }
 
 #[cfg(test)]
@@ -366,6 +370,9 @@ pub fn saturate(x: u64, max: u64) -> u64 {
         std::fs::remove_dir_all(&root).unwrap();
     }
 
+    /// A hanging suite times out, and the timeout kills the process the
+    /// suite's shell started, as it must the test binary `cargo test`
+    /// starts.
     #[test]
     fn hanging_suite_times_out() {
         let root = fixture_tree(FIXTURE);
@@ -376,9 +383,10 @@ pub fn saturate(x: u64, max: u64) -> u64 {
             timeout: Duration::from_millis(300),
             jobs: 1,
             // Survive instantly on pristine code (green check), hang on
-            // any mutant.
+            // any mutant in a grandchild that records its pid.
             suite: KillSuite::Custom(
-                "grep -q 'if x < max' src/fix.rs && grep -q 'x + 1' src/fix.rs || sleep 60"
+                "grep -q 'if x < max' src/fix.rs && grep -q 'x + 1' src/fix.rs \
+                 || { sleep 60 & echo $! > hang.pid; wait; }"
                     .to_string(),
             ),
             verbose: false,
@@ -386,6 +394,19 @@ pub fn saturate(x: u64, max: u64) -> u64 {
         let results = run(&cfg, one).unwrap();
         assert_eq!(results.len(), 1);
         assert_eq!(results[0].outcome, Outcome::Timeout);
+        if cfg!(target_os = "linux") {
+            let pid = std::fs::read_to_string(root.join("target/mutants/scratch-0/hang.pid"));
+            let stat = format!("/proc/{}/stat", pid.unwrap().trim());
+            // Gone, or a zombie waiting for its reaper.
+            let running = || std::fs::read_to_string(&stat).is_ok_and(|s| !s.contains(") Z "));
+            for _ in 0..100 {
+                if !running() {
+                    break;
+                }
+                std::thread::sleep(Duration::from_millis(20));
+            }
+            assert!(!running(), "the hanging grandchild outlived the timeout");
+        }
         std::fs::remove_dir_all(&root).unwrap();
     }
 
