@@ -7,7 +7,7 @@ mod tracegen;
 
 use psb_common::SplitMix64;
 use psb_cpu::{CpuConfig, Disambiguation, FixedLatencyMemory, Pipeline};
-use tracegen::{items, lower};
+use tracegen::{items, lower, Shapes};
 
 /// Memory slots the generated loads and stores spread over: enough that
 /// they rarely alias.
@@ -20,7 +20,7 @@ const SLOTS: u64 = 1 << 16;
 fn pipeline_commits_everything() {
     let mut meta = SplitMix64::new(0xC3117);
     for case in 0..48 {
-        let trace = lower(&items(&mut meta, 200, SLOTS));
+        let trace = lower(&items(&mut meta, 200, SLOTS, Shapes::Narrow));
         let n = trace.len() as u64;
         let latency = 1 + meta.below(59);
         let perfect = meta.below(2) == 0;
@@ -48,7 +48,7 @@ fn pipeline_commits_everything() {
 fn pipeline_is_deterministic() {
     let mut meta = SplitMix64::new(0xD37);
     for case in 0..48 {
-        let trace = lower(&items(&mut meta, 100, SLOTS));
+        let trace = lower(&items(&mut meta, 100, SLOTS, Shapes::Narrow));
         let mut m1 = FixedLatencyMemory::new(7);
         let mut m2 = FixedLatencyMemory::new(7);
         let s1 = Pipeline::new(CpuConfig::baseline()).run(trace.clone(), &mut m1, u64::MAX);
@@ -64,7 +64,7 @@ fn pipeline_is_deterministic() {
 fn slower_memory_never_speeds_up() {
     let mut meta = SplitMix64::new(0x510);
     for case in 0..48 {
-        let trace = lower(&items(&mut meta, 120, SLOTS));
+        let trace = lower(&items(&mut meta, 120, SLOTS, Shapes::Narrow));
         let mut fast_mem = FixedLatencyMemory::new(1);
         let mut slow_mem = FixedLatencyMemory::new(80);
         let fast = Pipeline::new(CpuConfig::baseline()).run(trace.clone(), &mut fast_mem, u64::MAX);
