@@ -12,8 +12,13 @@
 //! than executing a wrong path — see DESIGN.md §4 for why this
 //! substitution is sound for the paper's experiments.
 //!
-//! Results become visible from each ROB entry's own `finish` cycle, and
-//! a mispredicted branch fixes the redirect cycle when it issues.
+//! Scheduling is event-driven, so a cycle costs the work it does, not a
+//! ROB scan. An entry waits on its register producers and, for a load,
+//! the youngest older store it overlaps, found once at dispatch. Each
+//! producer sets its consumers' ready cycle when it issues; issue walks
+//! only the age-ordered set of entries whose operands are visible.
+//! Results become visible from each entry's own `finish` cycle, and a
+//! mispredicted branch fixes the redirect cycle when it issues.
 
 use crate::bpred::{BpredStats, BranchPredictor};
 use crate::config::{CpuConfig, Disambiguation};
@@ -22,7 +27,8 @@ use crate::inst::{DynInst, Op, Reg};
 use crate::mem_iface::MemSystem;
 use psb_common::stats::RunningMean;
 use psb_common::{Addr, Cycle};
-use std::collections::VecDeque;
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, VecDeque};
 
 /// Results of one pipeline run.
 #[derive(Clone, Debug, Default, PartialEq)]
@@ -78,14 +84,19 @@ impl CpuStats {
 #[derive(Clone, Debug)]
 struct RobEntry {
     inst: DynInst,
-    /// Producer sequence numbers for the register sources.
-    deps: [Option<u64>; 2],
     mispredicted: bool,
     /// The cycle the functional unit or memory system delivers the
     /// result; `None` until the entry issues.
     finish: Option<Cycle>,
     issued_at: Cycle,
     forwarded: bool,
+    /// For a load: the youngest older store it overlaps, if one was in
+    /// the window at dispatch.
+    store: Option<u64>,
+    /// Producers that have not issued yet.
+    waiting_on: u8,
+    /// The first cycle the results of every issued producer are visible.
+    ready_at: Cycle,
 }
 
 impl RobEntry {
@@ -100,16 +111,6 @@ impl RobEntry {
         let addr = self.inst.mem_addr.expect("invariant: mem ops always carry an address");
         (addr, u64::from(self.inst.mem_size))
     }
-}
-
-/// What gates a load's issue this cycle.
-enum LoadGate {
-    /// An ordering constraint is unresolved; retry later.
-    Wait,
-    /// Forward from an in-window store.
-    Forward,
-    /// Access the cache hierarchy.
-    Cache,
 }
 
 /// The out-of-order pipeline.
@@ -139,6 +140,18 @@ pub struct Pipeline {
     fetch_queue: VecDeque<(DynInst, bool)>,
     lsq_count: usize,
     last_writer: [Option<u64>; Reg::COUNT],
+    // Scheduling state. An unissued entry is in the `consumers` list of
+    // each unissued producer, then in `waking` until its operands are
+    // visible, then in `ready`, oldest first, until it issues. `consumers`
+    // is a ring of at least `rob_size` lists indexed by the low bits of
+    // `seq`, so each list is reused by the entries that occupy its slot.
+    consumers: Vec<Vec<u64>>,
+    waking: BinaryHeap<Reverse<(Cycle, u64)>>,
+    ready: Vec<u64>,
+    // In-window stores with their byte ranges, and the unissued ones, in
+    // age order.
+    stores: VecDeque<(u64, Addr, u64)>,
+    unissued_stores: VecDeque<u64>,
     // Fetch state. Fetch runs from `fetch_ready`: the end of an I-cache
     // miss, or the redirect, which is `u64::MAX` until the branch issues.
     fetch_ready: Cycle,
@@ -162,6 +175,11 @@ impl Pipeline {
             fetch_queue: VecDeque::with_capacity(config.fetch_queue_size),
             lsq_count: 0,
             last_writer: [None; Reg::COUNT],
+            consumers: vec![Vec::new(); config.rob_size.next_power_of_two()],
+            waking: BinaryHeap::new(),
+            ready: Vec::new(),
+            stores: VecDeque::new(),
+            unissued_stores: VecDeque::new(),
             fetch_ready: Cycle::ZERO,
             halt_cycle: Cycle::ZERO,
             last_fetch_block: None,
@@ -226,59 +244,6 @@ impl Pipeline {
         seq.checked_sub(self.head_seq).and_then(|i| self.rob.get(i as usize))
     }
 
-    /// True if issue sees `e`'s result at `now`.
-    fn visible(&self, e: &RobEntry) -> bool {
-        e.done().is_some_and(|done| done <= self.now)
-    }
-
-    /// True if the value produced by `seq` is available at `now`.
-    /// Committed producers are always ready.
-    fn value_ready(&self, seq: u64) -> bool {
-        self.entry(seq).is_none_or(|e| self.visible(e))
-    }
-
-    fn deps_ready(&self, idx: usize) -> bool {
-        self.rob[idx].deps.iter().flatten().all(|&seq| self.value_ready(seq))
-    }
-
-    /// Decides whether the load at ROB index `idx` may issue, and how.
-    fn load_gate(&self, idx: usize) -> LoadGate {
-        let (load_addr, load_size) = self.rob[idx].mem_range();
-        let overlap = |e: &RobEntry| {
-            let (addr, size) = e.mem_range();
-            addr.overlaps(size, load_addr, load_size)
-        };
-        let forward_from =
-            |e: &RobEntry| if self.visible(e) { LoadGate::Forward } else { LoadGate::Wait };
-
-        match self.config.disambiguation {
-            Disambiguation::Perfect => {
-                // Youngest older store to the same memory, if any.
-                for e in self.rob.iter().take(idx).rev() {
-                    if e.inst.op.is_store() && overlap(e) {
-                        return forward_from(e);
-                    }
-                }
-                LoadGate::Cache
-            }
-            Disambiguation::WaitForStores => {
-                let mut forward_candidate = None;
-                for e in self.rob.iter().take(idx) {
-                    if !e.inst.op.is_store() {
-                        continue;
-                    }
-                    if e.finish.is_none() {
-                        return LoadGate::Wait;
-                    }
-                    if overlap(e) {
-                        forward_candidate = Some(e);
-                    }
-                }
-                forward_candidate.map_or(LoadGate::Cache, forward_from)
-            }
-        }
-    }
-
     fn commit<M: MemSystem>(&mut self, mem: &mut M) {
         let mut committed = 0;
         while committed < self.config.commit_width {
@@ -304,6 +269,7 @@ impl Pipeline {
                 Op::Store => {
                     self.stats.stores += 1;
                     self.lsq_count -= 1;
+                    self.stores.pop_front();
                     mem.store(self.now, e.inst.pc, e.mem_range().0);
                 }
                 Op::Branch => self.stats.branches += 1,
@@ -312,59 +278,66 @@ impl Pipeline {
         }
     }
 
+    /// Moves the entries whose operands became visible into the ready
+    /// set, then issues ready entries oldest first.
     fn issue<M: MemSystem>(&mut self, mem: &mut M) {
-        let mut issued = 0;
-        let mut idx = 0;
-        while idx < self.rob.len() && issued < self.config.issue_width {
-            if self.rob[idx].finish.is_some() || !self.deps_ready(idx) {
-                idx += 1;
-                continue;
-            }
-            let inst = self.rob[idx].inst;
-            let finish = match inst.op {
-                Op::Load => match self.load_gate(idx) {
-                    LoadGate::Wait => {
-                        idx += 1;
-                        continue;
-                    }
-                    LoadGate::Forward => match self.fu.try_issue(Op::Load, self.now) {
-                        Some(_) => {
-                            self.rob[idx].forwarded = true;
-                            self.now + self.config.store_forward_latency
-                        }
-                        None => {
-                            idx += 1;
-                            continue;
-                        }
-                    },
-                    LoadGate::Cache => match self.fu.try_issue(Op::Load, self.now) {
-                        Some(_) => mem.load(self.now, inst.pc, self.rob[idx].mem_range().0),
-                        None => {
-                            idx += 1;
-                            continue;
-                        }
-                    },
-                },
-                op => match self.fu.try_issue(op, self.now) {
-                    Some(finish) => finish,
-                    None => {
-                        idx += 1;
-                        continue;
-                    }
-                },
-            };
-            let e = &mut self.rob[idx];
-            e.finish = Some(finish);
-            e.issued_at = self.now;
-            if e.mispredicted {
-                // The only unresolved mispredict: fix the redirect now.
-                let done = e.done().expect("invariant: the entry just issued");
-                let earliest = self.halt_cycle + self.config.min_mispredict_penalty;
-                self.fetch_ready = earliest.max(done + self.config.redirect_latency);
-            }
-            issued += 1;
-            idx += 1;
+        while self.waking.peek().is_some_and(|&Reverse((at, _))| at <= self.now) {
+            let Some(Reverse((_, seq))) = self.waking.pop() else { break };
+            let (Ok(at) | Err(at)) = self.ready.binary_search(&seq);
+            self.ready.insert(at, seq);
         }
+        let mut ready = std::mem::take(&mut self.ready);
+        let mut issued = 0;
+        ready.retain(|&seq| {
+            let issues = issued < self.config.issue_width && self.try_issue(seq, mem);
+            issued += usize::from(issues);
+            !issues
+        });
+        self.ready = ready;
+    }
+
+    /// Issues the ready entry `seq` if memory ordering and a functional
+    /// unit allow it, and wakes its consumers. Returns whether it issued.
+    fn try_issue<M: MemSystem>(&mut self, seq: u64, mem: &mut M) -> bool {
+        let (now, idx) = (self.now, (seq - self.head_seq) as usize);
+        let (inst, store) = (self.rob[idx].inst, self.rob[idx].store);
+        // Under NoDis a load also waits for every older store to issue.
+        let nodis = self.config.disambiguation == Disambiguation::WaitForStores;
+        if inst.op.is_load() && nodis && self.unissued_stores.front().is_some_and(|&s| s < seq) {
+            return false;
+        }
+        let Some(fu_finish) = self.fu.try_issue(inst.op, now) else {
+            return false;
+        };
+        // A store dependence still in the window forwards its data; once
+        // it has committed, the load reads the cache.
+        let forwarded = store.is_some_and(|s| s >= self.head_seq);
+        let finish = match inst.mem_addr {
+            _ if forwarded => now + self.config.store_forward_latency,
+            Some(addr) if inst.op.is_load() => mem.load(now, inst.pc, addr),
+            _ => fu_finish,
+        };
+        let e = &mut self.rob[idx];
+        (e.finish, e.issued_at, e.forwarded) = (Some(finish), now, forwarded);
+        let done = e.done().expect("invariant: the entry just issued");
+        if e.mispredicted {
+            // The only unresolved mispredict: fix the redirect now.
+            let earliest = self.halt_cycle + self.config.min_mispredict_penalty;
+            self.fetch_ready = earliest.max(done + self.config.redirect_latency);
+        }
+        if inst.op.is_store() {
+            self.unissued_stores.retain(|&s| s != seq);
+        }
+        let slot = seq as usize & (self.consumers.len() - 1);
+        for c in self.consumers[slot].drain(..) {
+            let e = &mut self.rob[(c - self.head_seq) as usize];
+            e.ready_at = e.ready_at.max(done);
+            e.waiting_on -= 1;
+            if e.waiting_on == 0 {
+                self.waking.push(Reverse((e.ready_at, c)));
+            }
+        }
+        true
     }
 
     fn dispatch(&mut self) {
@@ -385,22 +358,49 @@ impl Pipeline {
                 .expect("invariant: the loop guard saw a front element");
             let seq = self.next_seq;
             self.next_seq += 1;
-            let dep_of = |r: Option<Reg>| r.and_then(|r| self.last_writer[r.index()]);
-            let deps = [dep_of(inst.src1), dep_of(inst.src2)];
-            if let Some(dst) = inst.dst {
-                self.last_writer[dst.index()] = Some(seq);
-            }
-            if inst.op.is_mem() {
-                self.lsq_count += 1;
-            }
-            self.rob.push_back(RobEntry {
+            let mut e = RobEntry {
                 inst,
-                deps,
                 mispredicted,
                 finish: None,
                 issued_at: Cycle::ZERO,
                 forwarded: false,
-            });
+                store: None,
+                waiting_on: 0,
+                ready_at: Cycle::ZERO,
+            };
+            if inst.op.is_mem() {
+                self.lsq_count += 1;
+                let (addr, size) = e.mem_range();
+                if inst.op.is_store() {
+                    self.stores.push_back((seq, addr, size));
+                    self.unissued_stores.push_back(seq);
+                } else {
+                    // The youngest older store to the same memory, once.
+                    let mut older = self.stores.iter().rev();
+                    e.store = older.find(|s| s.1.overlaps(s.2, addr, size)).map(|s| s.0);
+                }
+            }
+            let writer = |r: Option<Reg>| r.and_then(|r| self.last_writer[r.index()]);
+            for producer in [writer(inst.src1), writer(inst.src2), e.store].into_iter().flatten() {
+                // A committed producer is visible; an issued one from its
+                // `done`; an unissued one wakes this entry when it issues.
+                match self.entry(producer).map(RobEntry::done) {
+                    None => {}
+                    Some(Some(done)) => e.ready_at = e.ready_at.max(done),
+                    Some(None) => {
+                        e.waiting_on += 1;
+                        let slot = producer as usize & (self.consumers.len() - 1);
+                        self.consumers[slot].push(seq);
+                    }
+                }
+            }
+            if e.waiting_on == 0 {
+                self.waking.push(Reverse((e.ready_at, seq)));
+            }
+            if let Some(dst) = inst.dst {
+                self.last_writer[dst.index()] = Some(seq);
+            }
+            self.rob.push_back(e);
             dispatched += 1;
         }
     }
@@ -427,7 +427,7 @@ impl Pipeline {
                 break;
             }
             // New I-cache block: model the instruction fetch.
-            let block = peeked.pc.raw() / self.config.icache_block;
+            let block = peeked.pc.raw() / self.config.icache_block.max(1);
             if self.last_fetch_block != Some(block) {
                 let ready = mem.ifetch(self.now, peeked.pc);
                 if ready > self.now {
@@ -752,5 +752,110 @@ mod tests {
     #[should_panic(expected = "pipeline deadlock at Cycle(1000000)")]
     fn a_million_cycles_without_a_commit_is_a_deadlock() {
         run_trace(slow_loads(1), 999_998);
+    }
+
+    /// A fixed-latency memory that records the cycle each load issues.
+    struct LoadClock {
+        latency: u64,
+        issued: Vec<u64>,
+    }
+
+    impl LoadClock {
+        fn run(trace: Vec<DynInst>, latency: u64, config: CpuConfig) -> (CpuStats, Vec<u64>) {
+            let mut mem = LoadClock { latency, issued: Vec::new() };
+            let stats = Pipeline::new(config).run(trace, &mut mem, u64::MAX);
+            (stats, mem.issued)
+        }
+    }
+
+    impl MemSystem for LoadClock {
+        fn load(&mut self, now: Cycle, _pc: Addr, _addr: Addr) -> Cycle {
+            self.issued.push(now.raw());
+            now + self.latency
+        }
+
+        fn store(&mut self, _now: Cycle, _pc: Addr, _addr: Addr) {}
+
+        fn ifetch(&mut self, now: Cycle, _pc: Addr) -> Cycle {
+            now
+        }
+    }
+
+    fn load(i: u64, dst: u8, base: Option<u8>, addr: u64) -> DynInst {
+        let pc = Addr::new(0x1000 + 4 * i);
+        DynInst::load(pc, Reg::new(dst), base.map(Reg::new), Addr::new(addr), 8)
+    }
+
+    fn store(i: u64, addr: u64) -> DynInst {
+        DynInst::store(Addr::new(0x1000 + 4 * i), None, None, Addr::new(addr), 8)
+    }
+
+    #[test]
+    fn a_result_is_never_visible_in_its_issue_cycle() {
+        // Zero-latency loads finish the cycle they issue, but a dependent
+        // load still issues one cycle later: waking never feeds the pass
+        // that issued the producer.
+        let (stats, issued) = LoadClock::run(slow_loads(5), 0, CpuConfig::baseline());
+        assert_eq!(issued, [2, 3, 4, 5, 6]);
+        assert_eq!(stats.cycles, 5 + 4);
+    }
+
+    #[test]
+    fn under_wait_for_stores_a_store_unblocks_a_younger_load_in_its_own_cycle() {
+        let trace = vec![store(0, 0x8000), load(1, 1, None, 0x9000)];
+        let nodis = CpuConfig::baseline().with_disambiguation(Disambiguation::WaitForStores);
+        let (_, issued) = LoadClock::run(trace.clone(), 50, nodis);
+        assert_eq!(issued, [2], "the load issues in the cycle its older store does");
+        // Behind a store whose base register is late, the load waits.
+        let mut late = vec![load(0, 3, None, 0xa000)];
+        late.push(DynInst::store(Addr::new(0x1004), None, Some(Reg::new(3)), Addr::new(0x8000), 8));
+        late.push(load(2, 1, None, 0x9000));
+        let (_, issued) = LoadClock::run(late, 50, nodis);
+        assert_eq!(issued, [2, 52]);
+    }
+
+    #[test]
+    fn a_load_whose_store_has_committed_reads_the_cache() {
+        // The store commits at cycle 4; the load's base arrives at 102.
+        let x = 0x8000;
+        let trace = vec![store(0, x), load(1, 1, None, 0x9000), load(2, 2, Some(1), x)];
+        let (stats, issued) = LoadClock::run(trace, 100, CpuConfig::baseline());
+        assert_eq!((stats.forwarded_loads, issued), (0, vec![2, 102]));
+        // With its base ready, the same load forwards from the store.
+        let trace = vec![store(0, x), load(1, 1, None, 0x9000), load(2, 2, None, x)];
+        let (stats, issued) = LoadClock::run(trace, 100, CpuConfig::baseline());
+        assert_eq!((stats.forwarded_loads, issued), (1, vec![2]));
+    }
+
+    #[test]
+    fn both_sources_may_name_one_producer() {
+        let alu = |src2| DynInst::alu(Addr::new(0x1004), Reg::new(2), Some(Reg::new(1)), src2);
+        let one = run_trace(vec![load(0, 1, None, 0x8000), alu(None)], 50);
+        let two = run_trace(vec![load(0, 1, None, 0x8000), alu(Some(Reg::new(1)))], 50);
+        // The load issues at 2 and is visible at 52; the ALU op commits
+        // at 54.
+        assert_eq!((one.cycles, two.cycles), (55, 55));
+    }
+
+    #[test]
+    fn a_zero_icache_block_makes_each_instruction_its_own_block() {
+        let config = CpuConfig { icache_block: 0, ..CpuConfig::baseline() };
+        let (stats, _) = LoadClock::run(alu_run(0x1000, 64), 1, config);
+        assert_eq!(stats.committed, 64);
+    }
+
+    #[test]
+    fn a_unit_blocked_entry_does_not_stall_younger_classes() {
+        // Three divides want the two integer mul/div units; the third
+        // waits, but the younger load still issues in the first cycle.
+        let div = |i: u64| DynInst {
+            op: Op::IntDiv,
+            ..DynInst::alu(Addr::new(0x1000 + 4 * i), Reg::new(i as u8), None, None)
+        };
+        let trace = vec![div(0), div(1), div(2), load(3, 9, None, 0x8000)];
+        let (stats, issued) = LoadClock::run(trace, 1, CpuConfig::baseline());
+        assert_eq!(issued, [2]);
+        // The third divide issues when a unit frees at 14, done at 26.
+        assert_eq!(stats.cycles, 28);
     }
 }
