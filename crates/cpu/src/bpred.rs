@@ -84,7 +84,12 @@ pub struct BranchPredictor {
 
 impl BranchPredictor {
     /// Creates a predictor from a configuration.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the BTB has no entries.
     pub fn new(config: BpredConfig) -> Self {
+        assert!(config.btb_entries > 0, "the BTB needs at least one entry");
         let pht_size = 1usize << config.gshare_bits;
         BranchPredictor {
             pht: vec![SatCounter::with_value(3, 2); pht_size],
@@ -295,5 +300,11 @@ mod tests {
         let s = bp.stats();
         assert_eq!(s.predictions, 10);
         assert!(s.accuracy() > 0.5);
+    }
+
+    #[test]
+    #[should_panic(expected = "the BTB needs at least one entry")]
+    fn an_empty_btb_is_rejected() {
+        BranchPredictor::new(BpredConfig { btb_entries: 0, ..BpredConfig::default() });
     }
 }

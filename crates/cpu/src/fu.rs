@@ -48,11 +48,15 @@ impl FuPool {
         FuPool { units: counts.map(|c| vec![Cycle::ZERO; c]) }
     }
 
+    /// `class`'s position in [`FuClass::ALL`].
     fn class_index(class: FuClass) -> usize {
-        FuClass::ALL
-            .iter()
-            .position(|&c| c == class)
-            .expect("invariant: FuClass::ALL enumerates every class")
+        match class {
+            FuClass::IntAlu => 0,
+            FuClass::LoadStore => 1,
+            FuClass::FpAdd => 2,
+            FuClass::IntMultDiv => 3,
+            FuClass::FpMultDiv => 4,
+        }
     }
 
     /// Attempts to issue `op` at `now`. On success, returns the cycle the
@@ -94,6 +98,13 @@ mod tests {
         // A multiply wants the same Int mul/div unit: busy until 12.
         assert_eq!(pool.try_issue(Op::IntMult, Cycle::new(11)), None);
         assert_eq!(pool.try_issue(Op::IntMult, Cycle::new(12)), Some(Cycle::new(15)));
+    }
+
+    #[test]
+    fn class_indices_follow_the_all_order() {
+        for (i, class) in FuClass::ALL.into_iter().enumerate() {
+            assert_eq!(FuPool::class_index(class), i);
+        }
     }
 
     #[test]

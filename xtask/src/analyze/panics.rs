@@ -1,10 +1,10 @@
 //! Pass 1: hot-path panic-freedom.
 //!
 //! Builds the conservative call graph over the hot-path crates
-//! (`common`, `core`, `mem`, `sim`), roots it at every registry
-//! engine's `Prefetcher` entry points plus the `SimMemory`/`MemSystem`
-//! entry points, and flags every potentially-panicking construct in a
-//! reachable function:
+//! (`common`, `core`, `mem`, `sim`, `cpu`), roots it at every registry
+//! engine's `Prefetcher` entry points, the `SimMemory`/`MemSystem`
+//! entry points and the out-of-order pipeline's `Pipeline::run`, and
+//! flags every potentially-panicking construct in a reachable function:
 //!
 //! * `.unwrap()` / `.expect(..)` (kinds `unwrap`, `expect`)
 //! * `panic!` / `unreachable!` / `todo!` / `unimplemented!` (kind
@@ -25,7 +25,7 @@ use super::{Finding, Workspace};
 use std::collections::BTreeMap;
 
 /// The crates whose non-test library code forms the panic universe.
-pub const PANIC_CRATES: &[&str] = &["common", "core", "mem", "sim"];
+pub const PANIC_CRATES: &[&str] = &["common", "core", "mem", "sim", "cpu"];
 
 /// Bare names of the analysis roots: the `Prefetcher` trait surface
 /// every registry engine implements, plus the `MemSystem` surface
@@ -33,10 +33,18 @@ pub const PANIC_CRATES: &[&str] = &["common", "core", "mem", "sim"];
 pub const ROOT_METHODS: &[&str] =
     &["tick", "lookup", "train", "quiescent", "load", "store", "fetch", "fetched_load"];
 
-/// Files whose [`ROOT_METHODS`] definitions count as roots: every
-/// engine file in `psb-core`, and the memory-system front end.
-fn is_root_file(rel: &str) -> bool {
-    rel.starts_with("crates/core/src/") || rel == "crates/sim/src/memsys.rs"
+/// The pipeline file, whose `run` drives every simulated cycle.
+const PIPELINE_FILE: &str = "crates/cpu/src/pipeline.rs";
+
+/// Whether the fn `name` in file `rel` is a root: a [`ROOT_METHODS`]
+/// name in an engine file of `psb-core` or the memory-system front end,
+/// or the pipeline's `run`.
+fn is_root(rel: &str, name: &str) -> bool {
+    if rel == PIPELINE_FILE {
+        return name == "run";
+    }
+    (rel.starts_with("crates/core/src/") || rel == "crates/sim/src/memsys.rs")
+        && ROOT_METHODS.contains(&name)
 }
 
 /// What the pass computed, for the report and the gate.
@@ -59,7 +67,7 @@ pub fn run(ws: &Workspace) -> PanicsReport {
         .filter(|(_, r)| {
             let f = &ws.files[r.file];
             let item = &f.tree.fns[r.item];
-            is_root_file(&f.rel) && ROOT_METHODS.contains(&item.name.as_str())
+            is_root(&f.rel, &item.name)
         })
         .map(|(n, _)| n)
         .collect();
@@ -179,6 +187,27 @@ mod tests {
         let r = run(&w);
         assert_eq!(r.roots, 0);
         assert!(r.findings.is_empty(), "{:?}", r.findings);
+    }
+
+    /// The pipeline's `run` is a root, and only that: its other fns are
+    /// reached through it, and a `run` elsewhere in the crate is not one.
+    #[test]
+    fn the_pipeline_run_is_a_root() {
+        let w = Workspace::from_sources(&[
+            (
+                "crates/cpu/src/pipeline.rs",
+                "impl Pipeline {\n\
+                     fn run(&mut self) { self.issue(); }\n\
+                     fn issue(&mut self) { self.rob[0].go(); }\n\
+                     fn fetch(&mut self) { self.q.pop().unwrap(); }\n\
+                 }\n",
+            ),
+            ("crates/cpu/src/other.rs", "fn run() { boom(); }\nfn boom() { panic!() }\n"),
+        ]);
+        let r = run(&w);
+        assert_eq!(r.roots, 1);
+        let ids: Vec<&str> = r.findings.iter().map(|f| f.id.as_str()).collect();
+        assert_eq!(ids, ["panics:crates/cpu/src/pipeline.rs:Pipeline::issue:index"]);
     }
 
     /// Panic macros in all four spellings map to kind `panic`, and
