@@ -80,7 +80,14 @@ fn budget() -> Duration {
 /// time budget, then report nanoseconds per iteration. The timed loop
 /// is allocation-free — a plain counted loop around `f` — so the
 /// iteration count divides out nothing but the workload itself.
-pub fn bench(name: &str, mut f: impl FnMut()) -> BenchResult {
+pub fn bench(name: &str, f: impl FnMut()) -> BenchResult {
+    bench_per(name, 1, f)
+}
+
+/// [`bench`] for an `f` that does `units` units of work per call (say,
+/// simulated cycles): reports nanoseconds per unit, and the units timed
+/// as the iteration count.
+pub fn bench_per(name: &str, units: u64, mut f: impl FnMut()) -> BenchResult {
     let budget = budget();
     let mut iters: u64 = 1;
     loop {
@@ -90,6 +97,7 @@ pub fn bench(name: &str, mut f: impl FnMut()) -> BenchResult {
         }
         let elapsed = start.elapsed();
         if elapsed >= budget || iters >= 1 << 32 {
+            let iters = iters.saturating_mul(units.max(1));
             let ns = elapsed.as_nanos() as f64 / iters as f64;
             // psb-lint: allow(println): bench harness console output.
             println!("{name:<32} {ns:>12.1} ns/iter  ({iters} iters)");
@@ -250,6 +258,15 @@ mod tests {
         assert!(r.iters >= 1);
         assert!(r.ns_per_iter >= 0.0);
         assert!(results().iter().any(|b| b.name == "micro_test_counter"));
+    }
+
+    #[test]
+    fn bench_per_divides_by_the_units_of_work() {
+        let r = bench_per("micro_test_units", 1000, || {
+            std::hint::black_box(1 + 1);
+        });
+        assert_eq!(r.iters % 1000, 0);
+        assert!(results().iter().any(|b| b.name == "micro_test_units"));
     }
 
     #[test]
