@@ -804,7 +804,7 @@ mod tests {
     fn under_wait_for_stores_a_store_unblocks_a_younger_load_in_its_own_cycle() {
         let trace = vec![store(0, 0x8000), load(1, 1, None, 0x9000)];
         let nodis = CpuConfig::baseline().with_disambiguation(Disambiguation::WaitForStores);
-        let (_, issued) = LoadClock::run(trace.clone(), 50, nodis);
+        let (_, issued) = LoadClock::run(trace, 50, nodis);
         assert_eq!(issued, [2], "the load issues in the cycle its older store does");
         // Behind a store whose base register is late, the load waits.
         let mut late = vec![load(0, 3, None, 0xa000)];
@@ -838,7 +838,7 @@ mod tests {
     }
 
     #[test]
-    fn a_zero_icache_block_makes_each_instruction_its_own_block() {
+    fn a_zero_icache_block_does_not_divide_by_zero() {
         let config = CpuConfig { icache_block: 0, ..CpuConfig::baseline() };
         let (stats, _) = LoadClock::run(alu_run(0x1000, 64), 1, config);
         assert_eq!(stats.committed, 64);

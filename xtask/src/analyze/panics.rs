@@ -33,18 +33,15 @@ pub const PANIC_CRATES: &[&str] = &["common", "core", "mem", "sim", "cpu"];
 pub const ROOT_METHODS: &[&str] =
     &["tick", "lookup", "train", "quiescent", "load", "store", "fetch", "fetched_load"];
 
-/// The pipeline file, whose `run` drives every simulated cycle.
-const PIPELINE_FILE: &str = "crates/cpu/src/pipeline.rs";
-
 /// Whether the fn `name` in file `rel` is a root: a [`ROOT_METHODS`]
 /// name in an engine file of `psb-core` or the memory-system front end,
-/// or the pipeline's `run`.
+/// or the pipeline's `run`, which drives every simulated cycle.
 fn is_root(rel: &str, name: &str) -> bool {
-    if rel == PIPELINE_FILE {
-        return name == "run";
+    match rel {
+        "crates/cpu/src/pipeline.rs" => name == "run",
+        "crates/sim/src/memsys.rs" => ROOT_METHODS.contains(&name),
+        _ => rel.starts_with("crates/core/src/") && ROOT_METHODS.contains(&name),
     }
-    (rel.starts_with("crates/core/src/") || rel == "crates/sim/src/memsys.rs")
-        && ROOT_METHODS.contains(&name)
 }
 
 /// What the pass computed, for the report and the gate.
