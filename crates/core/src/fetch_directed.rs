@@ -16,18 +16,10 @@
 //! on stream buffers instead: a fetch-stream prefetcher can never get
 //! farther ahead than the fetch unit itself.
 
+use crate::demand::PrefetchBuffer;
 use crate::predictor::StrideTable;
 use crate::prefetcher::{PrefetchSink, PrefetchStats, Prefetcher, SbLookup};
-use psb_common::{Addr, BlockAddr, Cycle};
-use std::collections::VecDeque;
-
-/// A prefetch-buffer slot.
-#[derive(Copy, Clone, Debug)]
-struct Slot {
-    block: BlockAddr,
-    ready: Cycle,
-    lru: u64,
-}
+use psb_common::{Addr, Cycle};
 
 /// A fetch-directed stride prefetcher: loads are looked up in a two-delta
 /// stride table the moment they are fetched, and the predicted address is
@@ -54,11 +46,8 @@ struct Slot {
 #[derive(Clone, Debug)]
 pub struct FetchDirectedPrefetcher {
     table: StrideTable,
-    buffer: Vec<Slot>,
-    capacity: usize,
-    pending: VecDeque<BlockAddr>,
+    buffer: PrefetchBuffer,
     block: u64,
-    stamp: u64,
     stats: PrefetchStats,
 }
 
@@ -76,36 +65,19 @@ impl FetchDirectedPrefetcher {
     ///
     /// Panics if `capacity` is zero or `block` is not a power of two.
     pub fn new(table: StrideTable, capacity: usize, block: u64) -> Self {
-        assert!(capacity > 0, "prefetch buffer needs at least one entry");
         assert!(block.is_power_of_two(), "block size must be a power of two");
         FetchDirectedPrefetcher {
             table,
-            buffer: Vec::with_capacity(capacity),
-            capacity,
-            pending: VecDeque::new(),
+            buffer: PrefetchBuffer::new(capacity),
             block,
-            stamp: 0,
             stats: PrefetchStats::default(),
         }
-    }
-
-    fn buffered(&self, block: BlockAddr) -> Option<usize> {
-        self.buffer.iter().position(|s| s.block == block)
     }
 }
 
 impl Prefetcher for FetchDirectedPrefetcher {
     fn lookup(&mut self, now: Cycle, addr: Addr) -> SbLookup {
-        self.stats.lookups += 1;
-        let block = addr.block(self.block);
-        if let Some(i) = self.buffered(block) {
-            let slot = self.buffer.swap_remove(i);
-            self.stats.hits += 1;
-            self.stats.used += 1;
-            SbLookup::Hit { ready: slot.ready.max(now) }
-        } else {
-            SbLookup::Miss
-        }
+        self.buffer.lookup(now, addr.block(self.block), &mut self.stats)
     }
 
     fn train(&mut self, _now: Cycle, pc: Addr, addr: Addr) {
@@ -127,35 +99,17 @@ impl Prefetcher for FetchDirectedPrefetcher {
             return;
         }
         let predicted = info.last_addr.offset(info.stride).block(self.block);
-        if self.buffered(predicted).is_none() && !self.pending.contains(&predicted) {
-            self.pending.push_back(predicted);
+        if self.buffer.enqueue(predicted) {
             self.stats.predictions += 1;
         }
     }
 
     fn tick(&mut self, now: Cycle, sink: &mut dyn PrefetchSink) {
-        if !sink.bus_free(now) {
-            return;
-        }
-        let Some(block) = self.pending.pop_front() else {
-            return;
-        };
-        let ready = sink.fetch(now, block.base(self.block));
-        self.stamp += 1;
-        let slot = Slot { block, ready, lru: self.stamp };
-        if self.buffer.len() < self.capacity {
-            self.buffer.push(slot);
-        } else {
-            let victim = self
-                .buffer
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, s)| s.lru)
-                .map(|(i, _)| i)
-                .expect("invariant: capacity > 0 keeps the buffer non-empty");
-            self.buffer[victim] = slot;
-        }
-        self.stats.issued += 1;
+        self.buffer.issue(now, sink, self.block, &mut self.stats);
+    }
+
+    fn quiescent(&self) -> bool {
+        self.buffer.quiescent()
     }
 
     fn stats(&self) -> PrefetchStats {
@@ -230,6 +184,35 @@ mod tests {
         fd.tick(Cycle::new(11), &mut sink);
         assert!(matches!(fd.lookup(Cycle::new(20), Addr::new(0x1_0140)), SbLookup::Hit { .. }));
         assert!(matches!(fd.lookup(Cycle::new(21), Addr::new(0x1_0140)), SbLookup::Miss));
+    }
+
+    #[test]
+    fn quiescent_exactly_when_nothing_is_queued() {
+        let mut fd = trained();
+        assert!(fd.quiescent(), "training alone queues nothing");
+        fd.observe_fetch(Cycle::new(10), Addr::new(0x400));
+        assert!(!fd.quiescent(), "a fetch sighting queues a prefetch");
+        let mut sink = TestSink::new(1);
+        fd.tick(Cycle::new(11), &mut sink);
+        assert!(fd.quiescent(), "the issued prefetch empties the queue");
+    }
+
+    #[test]
+    fn full_buffer_evicts_the_oldest_prefetch() {
+        // A 2-entry buffer: the third prefetch replaces the first.
+        let mut fd = FetchDirectedPrefetcher::new(StrideTable::paper_baseline(), 2, 32);
+        let mut sink = TestSink::new(1);
+        for (k, pc) in [0x400u64, 0x500, 0x600].into_iter().enumerate() {
+            for i in 0..5u64 {
+                fd.train(Cycle::ZERO, Addr::new(pc), Addr::new((k as u64 + 1) * 0x1_0000 + 64 * i));
+            }
+            fd.observe_fetch(Cycle::new(10), Addr::new(pc));
+            fd.tick(Cycle::new(11 + k as u64), &mut sink);
+        }
+        assert_eq!(fd.stats().issued, 3);
+        assert_eq!(fd.lookup(Cycle::new(20), Addr::new(0x1_0140)), SbLookup::Miss);
+        assert!(matches!(fd.lookup(Cycle::new(20), Addr::new(0x2_0140)), SbLookup::Hit { .. }));
+        assert!(matches!(fd.lookup(Cycle::new(20), Addr::new(0x3_0140)), SbLookup::Hit { .. }));
     }
 
     #[test]

@@ -105,11 +105,13 @@ pub trait Prefetcher {
 
     /// True if [`Prefetcher::tick`] is guaranteed to be an externally
     /// observable no-op until the next [`Prefetcher::lookup`],
-    /// [`Prefetcher::allocate`] or [`Prefetcher::observe_fetch`] call —
-    /// no prediction can be made, no prefetch can be issued, and no
-    /// counter or event can change. The simulator uses this to skip the
-    /// per-cycle virtual dispatch while the engine is idle. The
-    /// conservative default says "never", which is always sound.
+    /// [`Prefetcher::train`], [`Prefetcher::allocate`] or
+    /// [`Prefetcher::observe_fetch`] call — no prediction can be made,
+    /// no prefetch can be issued, and no counter or event can change.
+    /// (Next-line, demand-Markov, Pangloss and DSPatch refill their queue
+    /// in `train`.) The simulator uses this to skip the per-cycle virtual
+    /// dispatch while the engine is idle. The conservative default says
+    /// "never", which is always sound.
     fn quiescent(&self) -> bool {
         false
     }

@@ -1,6 +1,6 @@
 //! First-level cache with miss tracking.
 
-use crate::{Cache, CacheConfig, CacheStats, Mshr, MshrError};
+use crate::{Cache, CacheConfig, CacheStats, Mshr, MshrError, VictimCache};
 use psb_common::{Addr, BlockAddr, Cycle};
 
 /// Outcome of an L1 lookup.
@@ -26,13 +26,15 @@ pub enum L1Access {
     Miss,
 }
 
-/// An L1 cache: tag array + MSHRs + the paper's miss accounting.
+/// An L1 cache: tag array + MSHRs + the paper's miss accounting, and
+/// optionally a victim cache that receives every block it evicts.
 ///
 /// The L1 does not know where fills come from — the simulator routes a
-/// miss to the stream buffers and/or [`LowerMemory`](crate::LowerMemory)
-/// and then calls [`L1Cache::start_fill`] (asynchronous fill through the
-/// MSHRs) or [`L1Cache::install`] (immediate move, used when a stream
-/// buffer already holds the block).
+/// miss to the victim cache ([`L1Cache::rescue`]), the stream buffers
+/// and/or [`LowerMemory`](crate::LowerMemory) and then calls
+/// [`L1Cache::start_fill`] (asynchronous fill through the MSHRs) or
+/// [`L1Cache::install`] (immediate move, used when a stream buffer
+/// already holds the block).
 ///
 /// # Example
 ///
@@ -57,7 +59,7 @@ pub struct L1Cache {
     mshr: Mshr,
     latency: u64,
     stats: CacheStats,
-    evicted: Vec<BlockAddr>,
+    victim: Option<VictimCache>,
 }
 
 impl L1Cache {
@@ -69,8 +71,24 @@ impl L1Cache {
             mshr: Mshr::new(mshrs),
             latency,
             stats: CacheStats::default(),
-            evicted: Vec::new(),
+            victim: None,
         }
+    }
+
+    /// Adds a fully-associative victim cache of `entries` blocks that
+    /// costs `latency` extra cycles on a hit; zero `entries` adds none.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the victim cache's size in bytes overflows a `u64`.
+    pub fn with_victim(mut self, entries: usize, latency: u64) -> Self {
+        self.victim = (entries > 0).then(|| VictimCache::new(entries, self.block_size(), latency));
+        self
+    }
+
+    /// The victim cache, if configured (for attaching observability).
+    pub fn victim_mut(&mut self) -> Option<&mut VictimCache> {
+        self.victim.as_mut()
     }
 
     /// Attaches observability handles to the MSHR file: occupancy gauge
@@ -95,19 +113,16 @@ impl L1Cache {
     /// simulator's per-cycle housekeeping.
     pub fn drain(&mut self, now: Cycle) {
         for block in self.mshr.drain_ready(now) {
-            if let Some(victim) = self.cache.insert_block(block) {
-                self.record_eviction(victim);
-            }
+            let evicted = self.cache.insert_block(block);
+            self.spill(evicted);
         }
     }
 
-    /// Queues an eviction for [`L1Cache::take_evicted`], bounded so the
-    /// queue stays small when nobody consumes it (no victim cache).
-    fn record_eviction(&mut self, victim: BlockAddr) {
-        if self.evicted.len() >= 64 {
-            self.evicted.remove(0);
+    /// Passes an evicted block to the victim cache, if there is one.
+    fn spill(&mut self, evicted: Option<BlockAddr>) {
+        if let (Some(block), Some(victim)) = (evicted, &mut self.victim) {
+            victim.fill(block);
         }
-        self.evicted.push(victim);
     }
 
     /// Performs a demand access at `now`, updating LRU state and the
@@ -142,27 +157,40 @@ impl L1Cache {
     ///
     /// # Errors
     ///
-    /// Returns [`MshrError::Full`] if no MSHR is free; the caller must
-    /// retry (a structural stall).
+    /// Returns [`MshrError::Full`] if no MSHR is free, and the block is
+    /// not filled. Nothing retries it: the simulator still serves the
+    /// miss at its ready cycle, but the block is never installed, so the
+    /// next access misses again. No structural stall is modelled.
     pub fn start_fill(&mut self, block: BlockAddr, ready: Cycle) -> Result<(), MshrError> {
         self.mshr.allocate(block, ready)
     }
 
     /// Immediately installs the block containing `addr` (a move from a
-    /// stream buffer). Returns the evicted block, if any (also queued
-    /// for [`L1Cache::take_evicted`]).
-    pub fn install(&mut self, addr: Addr) -> Option<BlockAddr> {
-        let victim = self.cache.insert(addr);
-        if let Some(v) = victim {
-            self.record_eviction(v);
-        }
-        victim
+    /// stream buffer). The evicted block, if any, goes to the victim
+    /// cache.
+    pub fn install(&mut self, addr: Addr) {
+        let evicted = self.cache.insert(addr);
+        self.spill(evicted);
     }
 
-    /// Drains the queue of blocks this cache has evicted since the last
-    /// call — the feed for a victim cache.
-    pub fn take_evicted(&mut self) -> Vec<BlockAddr> {
-        std::mem::take(&mut self.evicted)
+    /// Probes the victim cache, if configured, after a miss on `addr` at
+    /// `now`. A hit moves the block back into this cache and returns when
+    /// its data is ready: the hit latency plus the victim cache's.
+    pub fn rescue(&mut self, now: Cycle, addr: Addr) -> Option<Cycle> {
+        let victim = self.victim.as_mut()?;
+        if !victim.probe(addr) {
+            return None;
+        }
+        let ready = now + self.latency + victim.latency();
+        self.install(addr);
+        // The rescued block now lives here; the probe must have removed
+        // it from the victim cache (exclusivity).
+        #[cfg(feature = "check")]
+        if let Some(victim) = &self.victim {
+            let block = self.block_of(addr);
+            victim.audit_exclusive(now, block, self.covers_block(block));
+        }
+        Some(ready)
     }
 
     /// True if every MSHR is occupied.
@@ -241,6 +269,37 @@ mod tests {
         }
         assert!(c.mshrs_full());
         assert_eq!(c.start_fill(BlockAddr(999), Cycle::new(1000)), Err(MshrError::Full));
+    }
+
+    #[test]
+    fn evictions_go_straight_to_the_victim_cache() {
+        // 16 sets of 2 ways: blocks 0, 16 and 32 share set 0.
+        let mut c = l1().with_victim(2, 1);
+        c.install(Addr::new(0));
+        c.install(Addr::new(16 * 32));
+        c.install(Addr::new(32 * 32)); // evicts block 0
+        assert!(!c.probe(Addr::new(0)));
+        // A rescue costs the hit latency plus the victim cache's, and
+        // moves the block back (evicting block 16 in turn).
+        assert_eq!(c.rescue(Cycle::new(7), Addr::new(0)), Some(Cycle::new(9)));
+        assert!(c.probe(Addr::new(0)));
+        assert_eq!(c.rescue(Cycle::new(8), Addr::new(0)), None, "the rescue removed it");
+        assert_eq!(c.rescue(Cycle::new(9), Addr::new(16 * 32)), Some(Cycle::new(11)));
+        // Fills drained from the MSHRs evict into the victim cache too:
+        // block 48 displaces block 0, the set's LRU line.
+        c.start_fill(BlockAddr(48), Cycle::new(20)).unwrap();
+        c.drain(Cycle::new(20));
+        assert!(c.victim_mut().expect("configured").contains(BlockAddr(0)));
+    }
+
+    #[test]
+    fn without_a_victim_cache_nothing_is_rescued() {
+        let mut c = l1().with_victim(0, 1);
+        assert!(c.victim_mut().is_none(), "zero entries adds no victim cache");
+        c.install(Addr::new(0));
+        c.install(Addr::new(16 * 32));
+        c.install(Addr::new(32 * 32));
+        assert_eq!(c.rescue(Cycle::ZERO, Addr::new(0)), None);
     }
 
     #[test]

@@ -8,14 +8,19 @@
 //! * [`Cache`] — a set-associative tag array with true-LRU replacement.
 //! * [`Mshr`] — miss status holding registers, so that in-flight blocks can
 //!   be merged and counted the way the paper counts them ("accesses to
-//!   in-flight data count as cache misses").
+//!   in-flight data count as cache misses"). It is the one in-flight
+//!   table: the L1s use it with a register limit, and [`LowerMemory`]
+//!   uses it with none to merge DRAM fetches of one L2 block.
 //! * [`Bus`] — a single-occupancy, bandwidth-limited bus (8 B/cycle between
 //!   L1 and L2; 4 B/cycle between L2 and memory).
 //! * [`ThroughputPipe`] — the pipelined L2 access port (12-cycle latency,
 //!   three accesses deep).
-//! * [`Tlb`] — a data TLB with on-demand linear page mapping, so that
-//!   prefetches of *virtual* predicted addresses can be translated
-//!   (the paper's "TLB prefetching").
+//! * [`Tlb`] — a data TLB that models translation timing only, so that
+//!   prefetches of *virtual* predicted addresses pay for translation
+//!   (the paper's "TLB prefetching"). Caches are indexed by virtual
+//!   address.
+//! * [`L1Cache`] — a tag array, its MSHRs and, optionally, a
+//!   [`VictimCache`] that receives every block the L1 evicts.
 //! * [`LowerMemory`] — the composed L2 + memory system behind the L1,
 //!   through which both demand misses and stream-buffer prefetches travel.
 //!

@@ -1,8 +1,7 @@
 //! The composed L2 + main-memory system behind the L1 caches.
 
-use crate::{Bus, Cache, MemConfig, ThroughputPipe};
-use psb_common::{Addr, BlockAddr, Cycle};
-use std::collections::HashMap;
+use crate::{Bus, Cache, MemConfig, Mshr, ThroughputPipe};
+use psb_common::{Addr, Cycle};
 
 /// Result of fetching one block from the lower memory system.
 #[derive(Copy, Clone, Debug, PartialEq, Eq)]
@@ -66,8 +65,9 @@ pub struct LowerMemory {
     l1_l2_bus: Bus,
     l2_mem_bus: Bus,
     mem_latency: u64,
-    /// Outstanding DRAM fetches by L2 block, for merge.
-    in_flight: HashMap<BlockAddr, Cycle>,
+    /// Outstanding DRAM fetches by L2 block, for merge: an MSHR file
+    /// with no register limit.
+    in_flight: Mshr,
     stats: LowerStats,
 }
 
@@ -80,7 +80,7 @@ impl LowerMemory {
             l1_l2_bus: Bus::new(config.l1_l2_bytes_per_cycle),
             l2_mem_bus: Bus::new(config.l2_mem_bytes_per_cycle),
             mem_latency: config.mem_latency,
-            in_flight: HashMap::new(),
+            in_flight: Mshr::new(usize::MAX),
             stats: LowerStats::default(),
         }
     }
@@ -103,7 +103,7 @@ impl LowerMemory {
     /// the L2 hit.
     pub fn fetch_block(&mut self, now: Cycle, addr: Addr, l1_block_bytes: u64) -> Completion {
         // Drop completed in-flight records lazily.
-        self.in_flight.retain(|_, ready| *ready > now);
+        self.in_flight.drain_ready(now);
 
         let (_, request_at_l2) = self.l1_l2_bus.acquire(now, l1_block_bytes);
         let l2_block = addr.block(self.l2.block_size());
@@ -111,7 +111,7 @@ impl LowerMemory {
 
         // A block whose DRAM fetch is still outstanding must not be
         // treated as an L2 hit even though its tag is installed eagerly.
-        if let Some(&pending) = self.in_flight.get(&l2_block) {
+        if let Some(pending) = self.in_flight.lookup(l2_block) {
             self.stats.l2_misses += 1;
             self.l2.access_block(l2_block);
             return Completion { ready: pending.max(l2_done), l2_hit: false };
@@ -127,8 +127,10 @@ impl LowerMemory {
             let l2_bytes = self.l2.block_size();
             let (mem_start, _) = self.l2_mem_bus.acquire(l2_done, l2_bytes);
             let ready = mem_start + self.mem_latency + self.l2_mem_bus.transfer_cycles(l2_bytes);
-            self.in_flight.insert(l2_block, ready);
-            // Install the tag eagerly; the in-flight map carries the timing.
+            // Nothing merged above, and the table has no register limit,
+            // so this allocation always succeeds.
+            let _ = self.in_flight.allocate(l2_block, ready);
+            // Install the tag eagerly; the in-flight table carries the timing.
             self.l2.insert_block(l2_block);
             ready
         };

@@ -1,8 +1,7 @@
-//! Data TLB with on-demand linear page mapping.
+//! Data TLB: translation timing over virtual page numbers.
 
 use crate::{Cache, CacheConfig};
-use psb_common::{Addr, Cycle, PageAddr};
-use std::collections::HashMap;
+use psb_common::{Addr, Cycle};
 
 /// TLB hit/miss counters.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -25,8 +24,9 @@ pub struct TlbStats {
 /// performs a TLB access and, on a miss, a page walk plus replacement —
 /// which doubles as TLB prefetching for the later demand access.
 ///
-/// Physical pages are assigned linearly on first touch, which stands in
-/// for the operating system's page allocator (see DESIGN.md §4).
+/// The TLB models only the timing of translation. Caches are indexed by
+/// virtual address, so no physical page is ever assigned (see DESIGN.md
+/// §4).
 ///
 /// # Example
 ///
@@ -46,8 +46,6 @@ pub struct Tlb {
     entries: Cache,
     page_size: u64,
     miss_latency: u64,
-    page_table: HashMap<PageAddr, u64>,
-    next_ppn: u64,
     stats: TlbStats,
 }
 
@@ -62,14 +60,7 @@ impl Tlb {
     pub fn new(entries: usize, assoc: usize, page_size: u64, miss_latency: u64) -> Self {
         // Reuse the cache tag array: one "byte" per page, block size 1.
         let config = CacheConfig::new(entries as u64, assoc, 1);
-        Tlb {
-            entries: Cache::new(config),
-            page_size,
-            miss_latency,
-            page_table: HashMap::new(),
-            next_ppn: 0x10,
-            stats: TlbStats::default(),
-        }
+        Tlb { entries: Cache::new(config), page_size, miss_latency, stats: TlbStats::default() }
     }
 
     /// Translates the page containing `addr` at `now`.
@@ -89,34 +80,14 @@ impl Tlb {
             if is_prefetch {
                 self.stats.prefetch_misses += 1;
             }
-            self.page_of(vpn); // ensure the mapping exists
             self.entries.insert(key);
             (now + self.miss_latency, false)
         }
     }
 
-    /// Returns the physical page number for `vpn`, assigning one linearly
-    /// on first touch.
-    pub fn page_of(&mut self, vpn: PageAddr) -> u64 {
-        let next = &mut self.next_ppn;
-        *self.page_table.entry(vpn).or_insert_with(|| {
-            let ppn = *next;
-            *next += 1;
-            ppn
-        })
-    }
-
     /// The miss penalty in cycles.
     pub fn miss_latency(&self) -> u64 {
         self.miss_latency
-    }
-
-    /// Translates a virtual address to a physical one, assigning a page if
-    /// needed (no timing, no TLB state change — used for cache indexing).
-    pub fn physical(&mut self, addr: Addr) -> Addr {
-        let vpn = addr.page(self.page_size);
-        let ppn = self.page_of(vpn);
-        Addr::new(ppn * self.page_size + addr.offset_in(self.page_size))
     }
 
     /// Accumulated statistics.
@@ -159,27 +130,6 @@ mod tests {
         assert_eq!(t.stats().prefetch_misses, 1);
         let (_, hit) = t.translate(Cycle::new(50), Addr::new(0x4008), false);
         assert!(hit, "prefetch translation must warm the TLB");
-    }
-
-    #[test]
-    fn distinct_pages_distinct_ppns() {
-        let mut t = tlb();
-        let p0 = t.page_of(PageAddr(0));
-        let p1 = t.page_of(PageAddr(1));
-        let p0_again = t.page_of(PageAddr(0));
-        assert_ne!(p0, p1);
-        assert_eq!(p0, p0_again);
-    }
-
-    #[test]
-    fn physical_preserves_page_offset() {
-        let mut t = tlb();
-        let va = Addr::new(3 * 8192 + 0x123);
-        let pa = t.physical(va);
-        assert_eq!(pa.raw() % 8192, 0x123);
-        // Same page, same frame.
-        let pa2 = t.physical(Addr::new(3 * 8192 + 0x200));
-        assert_eq!(pa.raw() / 8192, pa2.raw() / 8192);
     }
 
     #[test]

@@ -65,10 +65,14 @@ impl VictimCache {
     ///
     /// # Panics
     ///
-    /// Panics if `entries` is zero or `block` is not a power of two.
+    /// Panics if `entries` is zero, `block` is not a power of two, or the
+    /// size in bytes overflows a `u64`.
     pub fn new(entries: usize, block: u64, latency: u64) -> Self {
+        let size = (entries as u64).checked_mul(block).unwrap_or_else(|| {
+            panic!("a {entries}-entry victim cache of {block} B blocks overflows u64")
+        });
         VictimCache {
-            cache: Cache::new(CacheConfig::new(entries as u64 * block, entries, block)),
+            cache: Cache::new(CacheConfig::new(size, entries, block)),
             latency,
             stats: VictimStats::default(),
             obs_rescues: None,
@@ -158,6 +162,14 @@ mod tests {
         assert!(!v.probe(Addr::new(32)));
         assert!(v.probe(Addr::new(96)));
         assert_eq!(v.stats().fills, 3);
+    }
+
+    #[test]
+    #[should_panic(expected = "overflows u64")]
+    fn an_oversized_victim_cache_is_refused_not_wrapped() {
+        // 2^59 entries of 32 B is 2^64 bytes: unchecked, the size wraps
+        // to zero.
+        VictimCache::new(1 << 59, 32, 1);
     }
 
     #[test]

@@ -1,4 +1,5 @@
-//! Differential suite for the arena-flattened cache tag array.
+//! Differential suites for the arena-flattened cache tag array and the
+//! vector-backed MSHR file.
 //!
 //! [`psb_mem::Cache`] packs validity into per-line LRU stamps (stamp 0 =
 //! invalid) over two flat arrays and indexes sets by mask/shift when the
@@ -8,12 +9,19 @@
 //! both through identical SplitMix64 workloads, comparing every
 //! externally visible output after every operation.
 //!
-//! The `teeth_*` test proves the comparator bites: a variant whose set
-//! mask is off by one (`num_sets - 2`, folding odd sets onto even ones)
-//! must be flagged as divergent.
+//! [`psb_mem::Mshr`] keeps its registers in a small vector with a cached
+//! earliest-ready cycle. Its reference model is the earlier `HashMap`
+//! file (its logic verbatim, without the observability handles), driven
+//! the same way at a 16-register capacity and with no register limit.
+//!
+//! The `teeth_*` tests prove the comparators bite: a tag array whose set
+//! mask is off by one (`num_sets - 2`, folding odd sets onto even ones),
+//! and an MSHR file whose drain forgets to refresh its earliest-ready
+//! cycle, must each be flagged as divergent.
 
-use psb_common::{Addr, BlockAddr, SplitMix64};
-use psb_mem::{Cache, CacheConfig};
+use psb_common::{Addr, BlockAddr, Cycle, SplitMix64};
+use psb_mem::{Cache, CacheConfig, Mshr, MshrError};
+use std::collections::HashMap;
 
 const CASES: u64 = 30;
 
@@ -183,4 +191,147 @@ fn teeth_cache_off_by_one_set_mask_is_caught() {
     let config = CacheConfig::new(1024, 2, 32); // 16 sets
     let caught = (0..CASES).any(|seed| cache_differential(config, 0xCAC4E + seed, true).is_err());
     assert!(caught, "an off-by-one set mask must diverge from the correct tag array");
+}
+
+/// The earlier MSHR file as the reference model, its logic verbatim: a
+/// `HashMap` scanned, collected and sorted on every drain. With
+/// `stale_gate` set it also keeps an earliest-ready cycle that a drain
+/// forgets to refresh from the surviving entries (the bug the teeth test
+/// plants).
+struct ModelMshr {
+    capacity: usize,
+    pending: HashMap<BlockAddr, Cycle>,
+    stale_gate: Option<Cycle>,
+}
+
+impl ModelMshr {
+    fn new(capacity: usize, stale_gate: bool) -> Self {
+        ModelMshr {
+            capacity,
+            pending: HashMap::new(),
+            stale_gate: stale_gate.then_some(Cycle::new(u64::MAX)),
+        }
+    }
+
+    fn lookup(&self, block: BlockAddr) -> Option<Cycle> {
+        self.pending.get(&block).copied()
+    }
+
+    fn contains(&self, block: BlockAddr) -> bool {
+        self.pending.contains_key(&block)
+    }
+
+    fn allocate(&mut self, block: BlockAddr, ready: Cycle) -> Result<(), MshrError> {
+        if let Some(gate) = &mut self.stale_gate {
+            *gate = (*gate).min(ready);
+        }
+        if let Some(existing) = self.pending.get_mut(&block) {
+            if ready < *existing {
+                *existing = ready;
+            }
+            return Ok(());
+        }
+        if self.pending.len() >= self.capacity {
+            return Err(MshrError::Full);
+        }
+        self.pending.insert(block, ready);
+        Ok(())
+    }
+
+    fn drain_ready(&mut self, now: Cycle) -> Vec<BlockAddr> {
+        if let Some(gate) = &mut self.stale_gate {
+            if now < *gate {
+                return Vec::new();
+            }
+            // The bug: reset instead of recomputing from the survivors.
+            *gate = Cycle::new(u64::MAX);
+        }
+        let mut done: Vec<(Cycle, BlockAddr)> = self
+            .pending
+            .iter()
+            .filter(|(_, &ready)| ready <= now)
+            .map(|(&b, &ready)| (ready, b))
+            .collect();
+        done.sort_unstable();
+        for (_, b) in &done {
+            self.pending.remove(b);
+        }
+        done.into_iter().map(|(_, b)| b).collect()
+    }
+
+    fn in_flight(&self) -> usize {
+        self.pending.len()
+    }
+
+    fn is_full(&self) -> bool {
+        self.pending.len() >= self.capacity
+    }
+}
+
+/// Drives the vector MSHR file and the model through one random
+/// workload, comparing every output. `now` wanders backwards by up to 30
+/// cycles, as the D-TLB penalty makes the L1's clock do; blocks come from
+/// a space a little larger than 16 registers, so merges, full rejects and
+/// drains of several fills at once all occur.
+fn mshr_differential(capacity: usize, seed: u64, stale_gate: bool) -> Result<(), String> {
+    let mut real = Mshr::new(capacity);
+    let mut model = ModelMshr::new(capacity, stale_gate);
+    let mut rng = SplitMix64::new(seed);
+    let mut clock = 100u64;
+    for op in 0..800 {
+        clock += rng.below(8);
+        let now = Cycle::new(clock - rng.below(31));
+        let block = BlockAddr(rng.below(24));
+        match rng.below(6) {
+            0 | 1 => {
+                let ready = now + rng.below(200);
+                let (r, m) = (real.allocate(block, ready), model.allocate(block, ready));
+                if r != m {
+                    return Err(format!("op {op}: allocate({block:?}, {ready:?}) {r:?} vs {m:?}"));
+                }
+            }
+            2 => {
+                if real.lookup(block) != model.lookup(block) {
+                    return Err(format!("op {op}: lookup({block:?}) diverged"));
+                }
+            }
+            3 => {
+                if real.contains(block) != model.contains(block) {
+                    return Err(format!("op {op}: contains({block:?}) diverged"));
+                }
+            }
+            _ => {
+                let (r, m) = (real.drain_ready(now), model.drain_ready(now));
+                if r != m {
+                    return Err(format!("op {op}: drain_ready({now:?}) {r:?} vs {m:?}"));
+                }
+            }
+        }
+        if real.in_flight() != model.in_flight() || real.is_full() != model.is_full() {
+            return Err(format!(
+                "op {op}: occupancy diverged: real {} (full {}), model {} (full {})",
+                real.in_flight(),
+                real.is_full(),
+                model.in_flight(),
+                model.is_full()
+            ));
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn mshr_matches_reference_model() {
+    for capacity in [16, usize::MAX] {
+        for seed in 0..CASES {
+            mshr_differential(capacity, 0x5A5A + seed, false)
+                .expect("the vector MSHR file must track the HashMap model");
+        }
+    }
+}
+
+#[test]
+fn teeth_mshr_stale_earliest_ready_is_caught() {
+    let caught = (0..CASES).any(|seed| mshr_differential(16, 0x5A5A + seed, true).is_err());
+    assert!(caught, "a drain that forgets to refresh the earliest-ready cycle must diverge");
 }

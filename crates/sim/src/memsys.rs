@@ -7,7 +7,7 @@ use psb_common::metrics::Counter;
 use psb_common::{Addr, Cycle};
 use psb_core::{PrefetchSink, Prefetcher, SbLookup, SharedStreamObs, StreamObs};
 use psb_cpu::MemSystem;
-use psb_mem::{L1Access, L1Cache, LowerMemory, Tlb, VictimCache};
+use psb_mem::{L1Access, L1Cache, LowerMemory, Tlb};
 use psb_obs::{IntervalSample, Obs};
 use std::rc::Rc;
 
@@ -92,12 +92,13 @@ impl PrefetchSink for Lower {
 ///    update; only *primary* misses train, keeping the miss stream
 ///    clean), and a miss in both structures requests a stream allocation
 ///    and fetches the block from the lower memory system.
+/// 4. If every MSHR is busy, the miss is still served at its ready cycle
+///    but its block is never installed; no structural stall is modelled.
 pub struct SimMemory {
     l1d: L1Cache,
     l1i: L1Cache,
     inner: Lower,
     prefetcher: Box<dyn Prefetcher>,
-    victim: Option<VictimCache>,
     subscribers: Subscribers,
     /// Next cycle the interval sampler is due, or `u64::MAX` when
     /// interval sampling is off — keeps the per-cycle
@@ -108,9 +109,10 @@ pub struct SimMemory {
     /// Cached [`Prefetcher::quiescent`] verdict from the last real tick.
     /// While true, [`MemSystem::tick`] skips the engine's virtual
     /// dispatch entirely: the engine has promised its tick is a no-op
-    /// until the next lookup / allocation / fetch observation, and every
-    /// path that could change that (all inside [`SimMemory::miss`] and
-    /// [`MemSystem::fetched_load`]) clears the flag. Most pipeline
+    /// until the next lookup / training / allocation / fetch
+    /// observation, and every path that could change that (all inside
+    /// [`SimMemory::miss`] and [`MemSystem::fetched_load`]) clears the
+    /// flag. Most pipeline
     /// cycles perform no memory access, so whole quiescent epochs step
     /// through a single predicted branch.
     pf_idle: bool,
@@ -143,7 +145,8 @@ impl SimMemory {
     pub fn with_engine(config: &MachineConfig, prefetcher: Box<dyn Prefetcher>) -> Self {
         let mem = &config.mem;
         SimMemory {
-            l1d: L1Cache::new(mem.l1d, mem.l1_latency, mem.l1d_mshrs),
+            l1d: L1Cache::new(mem.l1d, mem.l1_latency, mem.l1d_mshrs)
+                .with_victim(config.victim_entries, 1),
             l1i: L1Cache::new(mem.l1i, mem.l1_latency, mem.l1i_mshrs),
             inner: Lower {
                 lower: LowerMemory::new(mem),
@@ -157,8 +160,6 @@ impl SimMemory {
                 events: Emitter::default(),
             },
             prefetcher,
-            victim: (config.victim_entries > 0)
-                .then(|| VictimCache::new(config.victim_entries, mem.l1d.block, 1)),
             subscribers: Subscribers::default(),
             next_sample: u64::MAX,
             sample_every: 0,
@@ -196,7 +197,7 @@ impl SimMemory {
         self.l1d.attach_obs(obs.gauge("l1d.mshr.occupancy"), obs.counter("l1d.mshr.full_rejects"));
         self.l1i.attach_obs(obs.gauge("l1i.mshr.occupancy"), obs.counter("l1i.mshr.full_rejects"));
         self.inner.lower.attach_obs(obs);
-        if let Some(victim) = &mut self.victim {
+        if let Some(victim) = self.l1d.victim_mut() {
             victim.attach_obs(obs.counter("victim.rescues"));
         }
         self.subscribers.obs = Some(obs.clone());
@@ -248,11 +249,6 @@ impl SimMemory {
         self.inner.events.emit(Event::Access(MemEvent { cycle, pc, addr, ready, kind }));
     }
 
-    /// The victim cache, if configured.
-    pub fn victim(&self) -> Option<&VictimCache> {
-        self.victim.as_ref()
-    }
-
     /// The L1 data cache (for statistics).
     pub fn l1d(&self) -> &L1Cache {
         &self.l1d
@@ -291,24 +287,9 @@ impl SimMemory {
         }
         // Victim cache (when configured): rescue recent conflict evictions
         // before consulting the prefetcher or the lower hierarchy.
-        if let Some(victim) = &mut self.victim {
-            for b in self.l1d.take_evicted() {
-                victim.fill(b);
-            }
-            if victim.probe(addr) {
-                self.l1d.install(addr);
-                // The rescued block now lives in the L1; the probe must
-                // have removed it from the victim cache (exclusivity).
-                #[cfg(feature = "check")]
-                victim.audit_exclusive(
-                    now,
-                    self.l1d.block_of(addr),
-                    self.l1d.covers_block(self.l1d.block_of(addr)),
-                );
-                let ready = now + self.l1d.latency() + victim.latency();
-                self.record(now, Some(pc), addr, ready, MemEventKind::VictimHit);
-                return ready;
-            }
+        if let Some(ready) = self.l1d.rescue(now, addr) {
+            self.record(now, Some(pc), addr, ready, MemEventKind::VictimHit);
+            return ready;
         }
         let block = self.l1d.block_of(addr);
         match self.prefetcher.lookup(now, addr) {

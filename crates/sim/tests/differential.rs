@@ -50,11 +50,13 @@ fn skip_ahead_is_cycle_exact_on_every_benchmark() {
 
 #[test]
 fn skip_ahead_is_cycle_exact_across_engines() {
-    // The other engine families exercise different quiescence shapes:
-    // NoPrefetch is always quiescent, PC-stride goes idle in bursts.
+    // Every registry engine answers `quiescent()` its own way: NoPrefetch
+    // is always quiescent, the stream-buffer engines go idle in bursts,
+    // and the five buffer-based engines idle whenever their shared
+    // pending queue is empty.
     let _env = ENV_LOCK.lock().unwrap();
     let window = 40_000u64;
-    for kind in [PrefetcherKind::None, PrefetcherKind::PcStride, PrefetcherKind::Psb2MissRr] {
+    for kind in PrefetcherKind::ALL {
         let trace = Benchmark::DeltaBlue.trace(1);
         let cfg = MachineConfig::baseline().with_prefetcher(kind);
         let fast = Simulation::new(cfg, trace.clone(), window).run();

@@ -174,6 +174,14 @@ fn main() {
             },
         }
     }
+    // The victim cache backs the L1D; one with more lines than the L1D
+    // is not a machine this simulator builds (and its size in bytes can
+    // overflow).
+    let l1d_lines = l1d.size / l1d.block;
+    if u64::try_from(victim).map_or(true, |n| n > l1d_lines) {
+        eprintln!("psbsim: --victim {victim} exceeds the L1D's {l1d_lines} lines");
+        usage()
+    }
     let trace = if let Some(path) = load {
         eprintln!("loading trace from {path}...");
         let file = std::fs::File::open(&path).unwrap_or_else(|e| {

@@ -234,3 +234,25 @@ fn fetch_directed_prefetcher_runs_end_to_end() {
     let base = run(Benchmark::Turb3d, PrefetcherKind::None);
     assert!(s.ipc() > base.ipc(), "fetch-directed must help the strided benchmark");
 }
+
+#[test]
+fn psbsim_rejects_a_victim_cache_it_cannot_build() {
+    // Unchecked, the first size overflowed the allocator and the second
+    // wrapped to zero bytes: both panicked. Anything above the L1D's
+    // 1,024 lines is a usage error.
+    for n in ["18446744073709551615", "576460752303423488", "1025"] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_psbsim"))
+            .args(["--victim", n, "--max", "1000", "health"])
+            .output()
+            .expect("psbsim starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "--victim {n}: {stderr}");
+        assert!(!stderr.contains("panicked"), "--victim {n}: {stderr}");
+        assert!(stderr.contains("usage: psbsim"), "--victim {n}: {stderr}");
+    }
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_psbsim"))
+        .args(["--victim", "1024", "--max", "1000", "health"])
+        .output()
+        .expect("psbsim starts");
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+}
