@@ -30,8 +30,10 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 /// The mutated files: the flattened hot-path arenas, the two newest
-/// engines and the out-of-order pipeline, keyed by the package whose
-/// suite forms the kill suite. `psb-core`, `psb-mem` and `psb-cpu` are independent
+/// engines, the shared prefetch buffer of the buffer-based engines, the
+/// MSHR file that is each cache level's in-flight table, and the
+/// out-of-order pipeline, keyed by the package whose suite forms the
+/// kill suite. `psb-core`, `psb-mem` and `psb-cpu` are independent
 /// crates (see the layering table), so a mutant in one never needs
 /// another's tests.
 pub const TARGETS: &[(&str, &str)] = &[
@@ -40,7 +42,9 @@ pub const TARGETS: &[(&str, &str)] = &[
     ("psb-core", "crates/core/src/predictor/pangloss.rs"),
     ("psb-core", "crates/core/src/predictor/dspatch.rs"),
     ("psb-core", "crates/core/src/stream/buffer.rs"),
+    ("psb-core", "crates/core/src/demand.rs"),
     ("psb-mem", "crates/mem/src/cache.rs"),
+    ("psb-mem", "crates/mem/src/mshr.rs"),
     ("psb-cpu", "crates/cpu/src/pipeline.rs"),
 ];
 
