@@ -99,7 +99,6 @@ pub fn bench_per(name: &str, units: u64, mut f: impl FnMut()) -> BenchResult {
         if elapsed >= budget || iters >= 1 << 32 {
             let iters = iters.saturating_mul(units.max(1));
             let ns = elapsed.as_nanos() as f64 / iters as f64;
-            // psb-lint: allow(println): bench harness console output.
             println!("{name:<32} {ns:>12.1} ns/iter  ({iters} iters)");
             let result = BenchResult { name: name.to_owned(), ns_per_iter: ns, iters };
             record(result.clone());
@@ -126,7 +125,6 @@ pub fn bench_run(name: &str, mut f: impl FnMut()) -> BenchResult {
     let start = Instant::now();
     f();
     let ns = start.elapsed().as_nanos() as f64;
-    // psb-lint: allow(println): bench harness console output.
     println!("{name:<32} {ns:>12.1} ns/run");
     let result = BenchResult { name: name.to_owned(), ns_per_iter: ns, iters: 1 };
     upsert(&RUNS, result.clone());
@@ -135,7 +133,6 @@ pub fn bench_run(name: &str, mut f: impl FnMut()) -> BenchResult {
 
 /// Print a group header so bench output stays scannable.
 pub fn group(name: &str) {
-    // psb-lint: allow(println): bench harness console output.
     println!("\n== {name} ==");
 }
 

@@ -1,8 +1,8 @@
 //! Byte, cache-block and page address newtypes.
 
-// psb-lint: allow-file(addr-arith): this module is the sanctioned home
-// of raw address arithmetic — the offset/delta helpers the rule points
-// every caller to are defined here.
+// This module is the sanctioned home of raw address arithmetic: the
+// offset/delta helpers the `addr-arith` check points every caller to
+// are defined here.
 
 use std::fmt;
 use std::ops::{Add, Sub};

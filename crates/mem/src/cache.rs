@@ -174,7 +174,7 @@ impl Cache {
         self.stamps[slot] = self.stamp;
         evicted_tag.map(|t| match self.set_shift {
             Some(shift) => BlockAddr((t << shift) | set as u64),
-            // psb-lint: allow(addr-arith): tag/set recomposition, not pointer math
+            // Tag/set recomposition, not pointer math.
             None => BlockAddr(t * self.num_sets + set as u64),
         })
     }

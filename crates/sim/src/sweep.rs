@@ -289,7 +289,6 @@ fn sweep_with_runner(
             }
             // Host wall-clock for telemetry only — the timing feeds a
             // progress histogram, never the deterministic artifact.
-            // psb-lint: allow(determinism)
             let start = std::time::Instant::now();
             let stats = runner(cell);
             let wall_micros = start.elapsed().as_micros() as u64;

@@ -17,13 +17,23 @@
 //!   unit-typed math should happen on the newtype (which checks
 //!   alignment and wrap), not on the escaped integer.
 //!
+//! A third kind runs in every crate with no file exempt, the newtypes'
+//! own helpers included:
+//!
+//! * **Address arithmetic** (kind `addr-arith`): a line that mentions an
+//!   address (an identifier containing `addr`, a standalone `pc`, or a
+//!   `.raw()` accessor) and does `wrapping_add`/`wrapping_sub`, or an
+//!   `as u64` cast next to a binary `+`/`-`. Callers go through
+//!   `Addr::offset`/`Addr::delta`, so overflow semantics live in one
+//!   place; those helpers are baseline entries.
+//!
 //! Findings are grouped per (file, fn, kind) like the panic pass and
 //! gated against the same committed baseline; a justified boundary
 //! (e.g. an arena index derived from a set-mapped PC) earns a reasoned
 //! entry, an accidental one earns a fix.
 
 use super::tokentree::{CallKind, Tree, NO_MATCH};
-use super::{Finding, Workspace};
+use super::{Finding, Sites, SourceFile, Workspace};
 use crate::lexer::Kind;
 use std::collections::BTreeMap;
 
@@ -53,53 +63,91 @@ pub struct CastsReport {
 
 /// Runs the pass over the workspace.
 pub fn run(ws: &Workspace) -> CastsReport {
-    let mut grouped: BTreeMap<(String, String, &'static str), Vec<usize>> = BTreeMap::new();
+    let mut sites = Sites::default();
     let mut scanned = 0usize;
     for f in &ws.files {
+        addr_arith(f, &mut sites);
         if !CAST_CRATES.contains(&f.krate.as_str()) || BOUNDARY_FILES.contains(&f.rel.as_str()) {
             continue;
         }
-        for item in &f.tree.fns {
-            if item.in_test {
-                continue;
-            }
+        for item in f.tree.fns.iter().filter(|item| !item.in_test) {
             scanned += 1;
             let (lo, hi) = item.body;
-            let mut add = |kind: &'static str, line: usize| {
-                grouped.entry((f.rel.clone(), item.qual.clone(), kind)).or_default().push(line);
-            };
             for i in trunc_sites(&f.tree, lo, hi) {
-                add("trunc", f.tree.toks[i].line);
+                sites.add(&f.rel, &item.qual, "trunc", f.tree.toks[i].line);
             }
             for i in raw_arith_sites(&f.tree, lo, hi) {
-                add("raw", f.tree.toks[i].line);
+                sites.add(&f.rel, &item.qual, "raw", f.tree.toks[i].line);
             }
         }
     }
-    let mut findings: Vec<Finding> = grouped
-        .into_iter()
-        .map(|((file, qual, kind), mut lines)| {
-            lines.sort_unstable();
-            lines.dedup();
-            Finding { id: format!("casts:{file}:{qual}:{kind}"), file, qual, kind, lines }
-        })
-        .collect();
-    findings.sort_by(|a, b| {
-        (&a.file, a.lines.first(), &a.qual, a.kind).cmp(&(
-            &b.file,
-            b.lines.first(),
-            &b.qual,
-            b.kind,
-        ))
-    });
-    CastsReport { scanned, findings }
+    CastsReport { scanned, findings: sites.group("casts") }
+}
+
+/// Per-line evidence for kind `addr-arith`.
+#[derive(Default)]
+struct AddrLine {
+    /// The last `wrapping_*` or `as u64` token, which places the site
+    /// in a fn.
+    tok: usize,
+    /// An identifier containing `addr`, a standalone `pc`, or `.raw()`.
+    mentions: bool,
+    /// A `wrapping_add(`/`wrapping_sub(` call.
+    wrapping: bool,
+    /// An `as u64` cast.
+    cast: bool,
+    /// A binary `+` or `-` (the previous token ends a value).
+    arith: bool,
+}
+
+/// Identifiers after which a `+`/`-` is a unary sign, not arithmetic.
+const UNARY_CONTEXT: [&str; 8] =
+    ["return", "if", "else", "match", "in", "break", "continue", "while"];
+
+/// Kind `addr-arith`, line by line over the non-test tokens of `f`.
+fn addr_arith(f: &SourceFile, sites: &mut Sites) {
+    let tree = &f.tree;
+    let mut lines: BTreeMap<usize, AddrLine> = BTreeMap::new();
+    for (i, t) in tree.toks.iter().enumerate().filter(|(_, t)| !t.in_test) {
+        let st = lines.entry(t.line).or_default();
+        let called = i + 1 < tree.toks.len() && tree.is_punct(i + 1, "(");
+        match t.kind {
+            Kind::Ident => {
+                let name = tree.text(i);
+                st.mentions |= name.to_ascii_lowercase().contains("addr")
+                    || name.eq_ignore_ascii_case("pc")
+                    || (called && name == "raw" && i >= 1 && tree.is_punct(i - 1, "."));
+                let wrapping = called && matches!(name, "wrapping_add" | "wrapping_sub");
+                let cast = name == "as" && i + 1 < tree.toks.len() && tree.is_ident(i + 1, "u64");
+                if wrapping || cast {
+                    st.tok = i;
+                }
+                st.wrapping |= wrapping;
+                st.cast |= cast;
+            }
+            Kind::Punct if matches!(tree.text(i), "+" | "-") && i >= 1 => {
+                st.arith |= match tree.toks[i - 1].kind {
+                    Kind::Ident => !UNARY_CONTEXT.contains(&tree.text(i - 1)),
+                    Kind::Number => true,
+                    Kind::Punct => matches!(tree.text(i - 1), ")" | "]" | "?"),
+                    _ => false,
+                };
+            }
+            _ => {}
+        }
+    }
+    for st in lines.values() {
+        if st.mentions && (st.wrapping || (st.cast && st.arith)) {
+            sites.add_tok(f, st.tok, "addr-arith");
+        }
+    }
 }
 
 /// Token indices of `as` keywords casting unit-context values to a
 /// narrower integer type within `[lo, hi]`.
 fn trunc_sites(tree: &Tree, lo: usize, hi: usize) -> Vec<usize> {
     let mut out = Vec::new();
-    for i in lo..=hi.min(tree.toks.len().saturating_sub(1)) {
+    for i in tree.span(lo, hi) {
         if !tree.is_ident(i, "as") {
             continue;
         }
@@ -297,5 +345,57 @@ mod tests {
         let r = run(&w);
         assert_eq!(r.scanned, 0);
         assert!(r.findings.is_empty());
+    }
+
+    /// Kind `addr-arith` runs in every crate, with no file exempt: the
+    /// `Addr` helpers themselves are baseline entries.
+    #[test]
+    fn addr_arith_fires_on_wrapping_and_cast_sums_in_every_crate() {
+        let w = Workspace::from_sources(&[
+            (
+                "crates/common/src/addr.rs",
+                "impl Addr {\n    fn offset(self, d: i64) -> Addr {\n        \
+                 Addr(self.0.wrapping_add(d as u64))\n    }\n}\n",
+            ),
+            (
+                "crates/core/src/x.rs",
+                "fn f(base_addr: u64, delta: i64) -> u64 {\n    \
+                                      base_addr + delta as u64 + 4\n}\n",
+            ),
+            (
+                "crates/workloads/src/serial.rs",
+                "fn f(pc: u64, prev_pc: u64) -> u64 {\n    \
+                                                pc.wrapping_sub(prev_pc)\n}\n",
+            ),
+        ]);
+        assert_eq!(
+            kinds_and_lines(&w),
+            [
+                ("casts:crates/common/src/addr.rs:Addr::offset:addr-arith".to_string(), vec![3]),
+                ("casts:crates/core/src/x.rs:f:addr-arith".to_string(), vec![2]),
+                ("casts:crates/workloads/src/serial.rs:f:addr-arith".to_string(), vec![2]),
+            ]
+        );
+    }
+
+    #[test]
+    fn addr_arith_ignores_non_address_math_comments_strings_tests_and_unary_signs() {
+        let w = Workspace::from_sources(&[
+            ("crates/common/src/rng.rs", "fn f(z: u64) -> u64 { z.wrapping_add(0x9e37) }\n"),
+            (
+                "crates/cpu/src/a.rs",
+                "// pc.wrapping_add(4) would be wrong\n/* pc.wrapping_add(4) */\n\
+                 const S: &str = \"pc.wrapping_add(4)\";\n",
+            ),
+            (
+                "crates/cpu/src/b.rs",
+                "fn f(addr_delta: i64) -> i64 { return -addr_delta as u64 as i64; }\n",
+            ),
+            (
+                "crates/cpu/src/c.rs",
+                "#[cfg(test)]\nmod tests {\n    fn t(pc: u64) { pc.wrapping_add(4); }\n}\n",
+            ),
+        ]);
+        assert!(kinds_and_lines(&w).is_empty(), "{:?}", run(&w).findings);
     }
 }

@@ -1,24 +1,30 @@
 //! `cargo xtask analyze` — token-tree semantic analysis over the whole
-//! workspace.
+//! workspace, the repository's one static checker.
 //!
-//! Three passes, all built on the shared [`crate::lexer`] and the
+//! Four passes, all built on the shared [`crate::lexer`] and the
 //! [`tokentree`] layer (no rustc, no syn — xtask stays zero-dep and
 //! offline):
 //!
 //! 1. [`panics`] — hot-path panic-freedom: an approximate call graph
 //!    rooted at the prefetcher-engine and memory-system entry points,
 //!    flagging every reachable `unwrap`/`expect`/`panic!`/indexing/
-//!    division site.
+//!    division site, plus every `.unwrap()` and unjustified `.expect()`
+//!    in the crates that model the machine.
 //! 2. [`locks`] — static lock-order: acquisition orders across the
 //!    threaded crates, failing outright on any cycle.
 //! 3. [`casts`] — cast/unit safety: truncating `as` casts and raw-unit
-//!    arithmetic outside the `Addr`/cycle newtype boundary.
+//!    arithmetic outside the `Addr`/cycle newtype boundary, and raw
+//!    address arithmetic anywhere.
+//! 4. [`rules`] — source rules: report determinism, console output,
+//!    host clocks, the model-checker shims, and public docs.
 //!
-//! Panic and cast findings are gated against a committed baseline
-//! (`PANICS.toml`, schema `psb-analyze-v1`, `[[allow]]` stanzas with
-//! mandatory reasons — same discipline as `MUTANTS.toml`): new findings
-//! fail the run with paste-ready stanzas, stale entries warn. Lock
-//! cycles are never baselineable.
+//! Every finding is a `<pass>:<file>:<fn>:<kind>` group of sites (see
+//! [`Sites::group`]) gated against one committed allow-list,
+//! `PANICS.toml` (schema `psb-analyze-v1`, `[[allow]]` stanzas with
+//! mandatory reasons — same discipline as `MUTANTS.toml`). New findings
+//! fail the run with paste-ready stanzas, and so does a stale entry, so
+//! no excuse outlives the code it excuses. Lock cycles are never
+//! baselineable.
 //!
 //! `--report FILE` writes a `psb-analyze-v1` JSON report that
 //! `cargo xtask validate-artifacts` knows how to shape-check.
@@ -27,11 +33,12 @@ pub mod callgraph;
 pub mod casts;
 pub mod locks;
 pub mod panics;
+pub mod rules;
 pub mod tokentree;
 
 use crate::baseline::{self, BaselineFile};
 use psb_obs::json::Json;
-use std::collections::BTreeSet;
+use std::collections::{BTreeMap, BTreeSet};
 use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 use tokentree::Tree;
@@ -65,12 +72,48 @@ pub struct Finding {
     pub id: String,
     /// Repo-relative file.
     pub file: String,
-    /// Qualified function name (`Type::name` or bare name).
+    /// Qualified function name (`Type::name` or bare name; empty for a
+    /// site outside any fn).
     pub qual: String,
     /// Site kind within the pass (`unwrap`, `index`, `trunc`, …).
     pub kind: &'static str,
     /// 1-based lines of the individual sites, sorted, deduplicated.
     pub lines: Vec<usize>,
+}
+
+/// Finding sites keyed by (file, fn, kind) — the granularity of a
+/// baseline entry, so line churn inside a function never invalidates
+/// its justification — each with its lines.
+#[derive(Default)]
+pub struct Sites(BTreeMap<(String, String, &'static str), Vec<usize>>);
+
+impl Sites {
+    /// Records one site of `kind` at `line` in fn `qual` of `file`.
+    pub fn add(&mut self, file: &str, qual: &str, kind: &'static str, line: usize) {
+        self.0.entry((file.to_string(), qual.to_string(), kind)).or_default().push(line);
+    }
+
+    /// Records a site at token `tok` of `f`, under its innermost
+    /// enclosing fn (the empty name outside every fn).
+    pub fn add_tok(&mut self, f: &SourceFile, tok: usize, kind: &'static str) {
+        self.add(&f.rel, f.tree.enclosing_fn(tok), kind, f.tree.toks[tok].line);
+    }
+
+    /// One `<pass>:<file>:<fn>:<kind>` finding per group, in source order.
+    pub fn group(self, pass: &str) -> Vec<Finding> {
+        let mut findings: Vec<Finding> = self
+            .0
+            .into_iter()
+            .map(|((file, qual, kind), mut lines)| {
+                lines.sort_unstable();
+                lines.dedup();
+                Finding { id: format!("{pass}:{file}:{qual}:{kind}"), file, qual, kind, lines }
+            })
+            .collect();
+        // Stable, so ties keep the map's (fn, kind) order.
+        findings.sort_by(|a, b| (&a.file, a.lines.first()).cmp(&(&b.file, b.lines.first())));
+        findings
+    }
 }
 
 impl Workspace {
@@ -127,11 +170,13 @@ pub enum Pass {
     Locks,
     /// Cast/unit safety.
     Casts,
+    /// Source rules.
+    Rules,
 }
 
 impl Pass {
     /// All passes, in run order.
-    pub const ALL: [Pass; 3] = [Pass::Panics, Pass::Locks, Pass::Casts];
+    pub const ALL: [Pass; 4] = [Pass::Panics, Pass::Locks, Pass::Casts, Pass::Rules];
 
     /// The CLI / finding-ID name.
     pub fn name(self) -> &'static str {
@@ -139,6 +184,7 @@ impl Pass {
             Pass::Panics => "panics",
             Pass::Locks => "locks",
             Pass::Casts => "casts",
+            Pass::Rules => "rules",
         }
     }
 
@@ -156,32 +202,39 @@ pub struct Outcome {
     pub locks: Option<locks::LocksReport>,
     /// Pass 3 results, when run.
     pub casts: Option<casts::CastsReport>,
+    /// Pass 4 findings, when run.
+    pub rules: Option<Vec<Finding>>,
     /// Findings not covered by the baseline (gate failures).
     pub new: Vec<Finding>,
     /// Findings covered by the baseline.
     pub baselined: usize,
-    /// Baseline IDs (of executed passes) with no matching finding.
+    /// Baseline IDs (of executed passes) with no matching finding (gate
+    /// failures: an excuse must not outlive the code it excuses).
     pub stale: Vec<String>,
 }
 
 impl Outcome {
-    /// True when the gate passes: no new findings, no lock cycles.
+    /// True when the gate passes: no new findings, no stale entries, no
+    /// lock cycles.
     pub fn ok(&self) -> bool {
-        self.new.is_empty() && self.locks.as_ref().is_none_or(|l| l.cycles.is_empty())
+        self.new.is_empty()
+            && self.stale.is_empty()
+            && self.locks.as_ref().is_none_or(|l| l.cycles.is_empty())
     }
 }
 
-/// Runs `passes` over `ws` and gates panic/cast findings against
-/// `baseline`.
+/// Runs `passes` over `ws` and gates their findings against `baseline`.
 pub fn evaluate(ws: &Workspace, passes: &[Pass], baseline: &BaselineFile) -> Outcome {
     let panics = passes.contains(&Pass::Panics).then(|| panics::run(ws));
     let locks = passes.contains(&Pass::Locks).then(|| locks::run(ws));
     let casts = passes.contains(&Pass::Casts).then(|| casts::run(ws));
+    let rules = passes.contains(&Pass::Rules).then(|| rules::run(ws));
 
     let findings: Vec<&Finding> = panics
         .iter()
         .flat_map(|p| p.findings.iter())
         .chain(casts.iter().flat_map(|c| c.findings.iter()))
+        .chain(rules.iter().flatten())
         .collect();
     let ids: BTreeSet<&str> = findings.iter().map(|f| f.id.as_str()).collect();
     let mut new = Vec::new();
@@ -205,14 +258,14 @@ pub fn evaluate(ws: &Workspace, passes: &[Pass], baseline: &BaselineFile) -> Out
         })
         .cloned()
         .collect();
-    Outcome { panics, locks, casts, new, baselined, stale }
+    Outcome { panics, locks, casts, rules, new, baselined, stale }
 }
 
 /// `cargo xtask analyze` entry point.
 pub fn analyze(args: &[String]) -> ExitCode {
     let Some(opts) = Opts::parse(args) else {
         eprintln!(
-            "usage: cargo xtask analyze [--pass panics|locks|casts] [--baseline FILE] \
+            "usage: cargo xtask analyze [--pass panics|locks|casts|rules] [--baseline FILE] \
              [--report FILE]"
         );
         return ExitCode::from(2);
@@ -264,11 +317,14 @@ pub fn analyze(args: &[String]) -> ExitCode {
             c.findings.len()
         );
     }
+    if let Some(r) = &out.rules {
+        println!("xtask analyze: rules: {} finding(s)", r.len());
+    }
     if out.baselined > 0 {
         println!("xtask analyze: {} finding(s) covered by the baseline", out.baselined);
     }
     for id in &out.stale {
-        eprintln!("xtask analyze: warning: stale baseline entry {id} (no such finding)");
+        eprintln!("xtask analyze: stale baseline entry {id} (no such finding) — remove it");
     }
     if !out.new.is_empty() {
         eprintln!();
@@ -403,6 +459,12 @@ fn report_json(ws: &Workspace, passes: &[Pass], out: &Outcome) -> Json {
             ]),
         ));
     }
+    if let Some(r) = &out.rules {
+        fields.push((
+            "rules",
+            Json::obj([("findings", Json::arr(r.iter().map(|f| finding_json(f, !is_new(f)))))]),
+        ));
+    }
     fields.push(("new", Json::u64(out.new.len() as u64)));
     fields.push(("baselined", Json::u64(out.baselined as u64)));
     fields.push(("stale", Json::arr(out.stale.iter().map(|s| Json::str(&**s)))));
@@ -450,15 +512,15 @@ mod tests {
         assert!(out.stale.is_empty(), "{:?}", out.stale);
     }
 
-    /// An entry with no matching finding is stale — but only when its
-    /// pass actually ran.
+    /// An entry with no matching finding is stale and fails the gate —
+    /// but only when its pass actually ran.
     #[test]
     fn stale_entries_are_scoped_to_executed_passes() {
         let ws = Workspace::from_sources(&[("crates/core/src/x.rs", "fn quiet() {}\n")]);
         let b = base(&[("panics:crates/core/src/x.rs:gone:unwrap", "was fixed")]);
         let out = evaluate(&ws, &Pass::ALL, &b);
         assert_eq!(out.stale, ["panics:crates/core/src/x.rs:gone:unwrap"]);
-        assert!(out.ok(), "stale warns, never fails");
+        assert!(!out.ok(), "a stale entry fails the gate");
         let casts_only = evaluate(&ws, &[Pass::Casts], &b);
         assert!(casts_only.stale.is_empty(), "{:?}", casts_only.stale);
     }
@@ -506,6 +568,30 @@ mod tests {
             back.get("panics").and_then(|p| p.get("findings")).and_then(Json::as_arr).unwrap();
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].get("baselined"), Some(&Json::Bool(false)));
+    }
+
+    /// Every pass runs cleanly over a file with no tokens and over one
+    /// that holds only comments.
+    #[test]
+    fn every_pass_survives_empty_and_comment_only_files() {
+        let ws = Workspace::from_sources(&[
+            ("crates/core/src/empty.rs", ""),
+            ("crates/sim/src/stats.rs", "//! println!(\"x\"); HashMap a / b\n/* x.unwrap() */\n"),
+        ]);
+        let out = evaluate(&ws, &Pass::ALL, &BaselineFile::default());
+        assert!(out.ok() && out.baselined == 0, "{:?}", out.new);
+    }
+
+    /// Teeth: a seeded source-rule defect fails the gate via the rules
+    /// pass, under its fn.
+    #[test]
+    fn seeded_rule_defect_fails_the_gate() {
+        let ws =
+            Workspace::from_sources(&[("crates/obs/src/x.rs", "fn f() { println!(\"x\"); }\n")]);
+        let out = evaluate(&ws, &[Pass::Rules], &BaselineFile::default());
+        assert_eq!(out.new.len(), 1, "{:?}", out.new);
+        assert_eq!(out.new[0].id, "rules:crates/obs/src/x.rs:f:println");
+        assert!(!out.ok());
     }
 
     /// Crate names derive from the path layout.

@@ -14,6 +14,12 @@
 //! * integer `/` and `%` with a non-literal divisor, which can divide
 //!   by zero (kind `div`)
 //!
+//! The crates that model the machine (`mem`, `core`, `cpu`) are held to
+//! more, reachable or not: every `.unwrap()` in their non-test code is
+//! a finding (kind `unwrap`), and so is every `.expect(..)` whose
+//! message and two preceding lines never say "invariant" (kind
+//! `bare-expect`) — an expect must state why it cannot fire.
+//!
 //! Findings are grouped per (file, function, kind) — the granularity of
 //! a `PANICS.toml` baseline entry — so line churn inside a function
 //! never invalidates its justification, while a *new* kind of panic
@@ -21,11 +27,14 @@
 
 use super::callgraph::CallGraph;
 use super::tokentree::CallKind;
-use super::{Finding, Workspace};
-use std::collections::BTreeMap;
+use super::{Finding, Sites, Workspace};
 
 /// The crates whose non-test library code forms the panic universe.
 pub const PANIC_CRATES: &[&str] = &["common", "core", "mem", "sim", "cpu"];
+
+/// The crates where any `.unwrap()` or unjustified `.expect()` is a
+/// finding, reachable or not.
+pub const UNWRAP_CRATES: &[&str] = &["mem", "core", "cpu"];
 
 /// Bare names of the analysis roots: the `Prefetcher` trait surface
 /// every registry engine implements, plus the `MemSystem` surface
@@ -70,16 +79,13 @@ pub fn run(ws: &Workspace) -> PanicsReport {
         .collect();
     let reachable = graph.reachable(&roots);
 
-    // (file, qual, kind) -> lines.
-    let mut grouped: BTreeMap<(String, String, &'static str), Vec<usize>> = BTreeMap::new();
+    let mut sites = Sites::default();
     for &n in &reachable {
         let r = graph.nodes[n];
         let f = &ws.files[r.file];
         let item = &f.tree.fns[r.item];
         let (lo, hi) = item.body;
-        let mut add = |kind: &'static str, line: usize| {
-            grouped.entry((f.rel.clone(), item.qual.clone(), kind)).or_default().push(line);
-        };
+        let mut add = |kind: &'static str, line: usize| sites.add(&f.rel, &item.qual, kind, line);
         for call in f.tree.calls_in(lo, hi) {
             match (call.kind, call.name.as_str()) {
                 (CallKind::Method, "unwrap") => add("unwrap", call.line),
@@ -98,23 +104,25 @@ pub fn run(ws: &Workspace) -> PanicsReport {
         }
     }
 
-    let mut findings: Vec<Finding> = grouped
-        .into_iter()
-        .map(|((file, qual, kind), mut lines)| {
-            lines.sort_unstable();
-            lines.dedup();
-            Finding { id: format!("panics:{file}:{qual}:{kind}"), file, qual, kind, lines }
-        })
-        .collect();
-    findings.sort_by(|a, b| {
-        (&a.file, a.lines.first(), &a.qual, a.kind).cmp(&(
-            &b.file,
-            b.lines.first(),
-            &b.qual,
-            b.kind,
-        ))
-    });
-    PanicsReport { roots: roots.len(), reachable: reachable.len(), findings }
+    // Reachable or not: the crates that model the machine never unwrap.
+    for f in ws.files.iter().filter(|f| UNWRAP_CRATES.contains(&f.krate.as_str())) {
+        for call in f.tree.calls_in(0, f.tree.toks.len()) {
+            if call.kind != CallKind::Method || f.tree.toks[call.tok].in_test {
+                continue;
+            }
+            let justified = || {
+                let near = f.tree.lines_text(call.line.saturating_sub(2), call.line);
+                near.to_ascii_lowercase().contains("invariant")
+            };
+            match call.name.as_str() {
+                "unwrap" => sites.add_tok(f, call.tok, "unwrap"),
+                "expect" if !justified() => sites.add_tok(f, call.tok, "bare-expect"),
+                _ => {}
+            }
+        }
+    }
+
+    PanicsReport { roots: roots.len(), reachable: reachable.len(), findings: sites.group("panics") }
 }
 
 #[cfg(test)]
@@ -188,6 +196,8 @@ mod tests {
 
     /// The pipeline's `run` is a root, and only that: its other fns are
     /// reached through it, and a `run` elsewhere in the crate is not one.
+    /// The unreachable `unwrap` in `fetch` is still a finding: in `cpu`
+    /// every `.unwrap()` is.
     #[test]
     fn the_pipeline_run_is_a_root() {
         let w = Workspace::from_sources(&[
@@ -204,7 +214,13 @@ mod tests {
         let r = run(&w);
         assert_eq!(r.roots, 1);
         let ids: Vec<&str> = r.findings.iter().map(|f| f.id.as_str()).collect();
-        assert_eq!(ids, ["panics:crates/cpu/src/pipeline.rs:Pipeline::issue:index"]);
+        assert_eq!(
+            ids,
+            [
+                "panics:crates/cpu/src/pipeline.rs:Pipeline::issue:index",
+                "panics:crates/cpu/src/pipeline.rs:Pipeline::fetch:unwrap",
+            ]
+        );
     }
 
     /// Panic macros in all four spellings map to kind `panic`, and
@@ -224,5 +240,65 @@ mod tests {
         assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
         assert_eq!(r.findings[0].kind, "panic");
         assert_eq!(r.findings[0].lines, [2, 3]);
+    }
+
+    /// In `mem`, `core` and `cpu` every `.unwrap()` is a finding,
+    /// reachable or not, grouped under its fn (or its file, outside one).
+    #[test]
+    fn unwrap_fires_in_hot_path_non_test_code() {
+        let w = Workspace::from_sources(&[(
+            "crates/mem/src/mshr.rs",
+            "fn cold(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n\
+             static S: u32 = Some(1).unwrap();\n",
+        )]);
+        let got: Vec<(String, Vec<usize>)> =
+            run(&w).findings.into_iter().map(|f| (f.id, f.lines)).collect();
+        assert_eq!(
+            got,
+            [
+                ("panics:crates/mem/src/mshr.rs:cold:unwrap".to_string(), vec![2]),
+                ("panics:crates/mem/src/mshr.rs::unwrap".to_string(), vec![4]),
+            ]
+        );
+    }
+
+    #[test]
+    fn unwrap_silent_outside_hot_path_crates_tests_strings_and_unwrap_or() {
+        let quiet = [
+            ("crates/workloads/src/gen.rs", "fn f(x: Option<u32>) -> u32 { x.unwrap() }\n"),
+            ("crates/mem/src/a.rs", "fn f(x: Option<u32>) -> u32 { x.unwrap_or(0) }\n"),
+            ("crates/mem/src/b.rs", "fn f() -> &'static str { \".unwrap()\" } // x.unwrap()\n"),
+            (
+                "crates/mem/src/c.rs",
+                "#[cfg(test)]\nmod tests {\n    #[test]\n    fn t() { Some(1).unwrap(); }\n}\n",
+            ),
+        ];
+        let r = run(&Workspace::from_sources(&quiet));
+        assert!(r.findings.is_empty(), "{:?}", r.findings);
+        // Code after a test module is checked again.
+        let after = "#[cfg(test)]\nmod tests {\n    fn t() { Some(1).unwrap(); }\n}\n\
+                     pub fn hot(x: Option<u32>) -> u32 {\n    x.unwrap()\n}\n";
+        let r = run(&Workspace::from_sources(&[("crates/mem/src/x.rs", after)]));
+        assert_eq!(r.findings.len(), 1, "{:?}", r.findings);
+        assert_eq!(r.findings[0].lines, [6]);
+    }
+
+    /// An `.expect()` must say "invariant" in its message or the two
+    /// lines above; otherwise it is kind `bare-expect`, reachable or not.
+    #[test]
+    fn expect_requires_invariant_justification() {
+        let ids = |src: &str| -> Vec<String> {
+            let w = Workspace::from_sources(&[("crates/core/src/x.rs", src)]);
+            run(&w).findings.into_iter().map(|f| f.id).collect()
+        };
+        let bare = "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"present\")\n}\n";
+        assert_eq!(ids(bare), ["panics:crates/core/src/x.rs:f:bare-expect"]);
+        let justified = "fn f(x: Option<u32>) -> u32 {\n    \
+                         // Invariant: caller checked is_some().\n    \
+                         x.expect(\"checked by caller\")\n}\n";
+        assert!(ids(justified).is_empty());
+        let in_message =
+            "fn f(x: Option<u32>) -> u32 {\n    x.expect(\"invariant: caller checked\")\n}\n";
+        assert!(ids(in_message).is_empty());
     }
 }

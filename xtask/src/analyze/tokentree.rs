@@ -6,8 +6,10 @@
 //! parser cannot be afforded for (xtask is zero-dep and offline):
 //!
 //! * **Significant tokens** — whitespace and comments dropped, each
-//!   surviving token annotated with its 1-based line and whether it sits
-//!   inside a `#[cfg(test)]` / `#[test]` region.
+//!   surviving token annotated with its 1-based line, whether it sits
+//!   inside a `#[cfg(test)]` / `#[test]` region (the one test tracker
+//!   every xtask tool uses), and whether an outer doc comment precedes
+//!   it.
 //! * **Delimiter matching** — every `(`/`[`/`{` knows its closer and
 //!   vice versa, so scans can jump over nested groups.
 //! * **Item extraction** — every `fn` with its bare name, its
@@ -37,6 +39,9 @@ pub struct SigTok {
     pub line: usize,
     /// Inside a `#[cfg(test)]`-attributed item or a `#[test]` fn.
     pub in_test: bool,
+    /// An outer doc comment (`///` or `/** */`) sits between this token
+    /// and the previous significant one.
+    pub doc: bool,
 }
 
 /// One extracted function item.
@@ -90,6 +95,8 @@ pub struct Tree {
     /// Every function with a body, in source order.
     pub fns: Vec<FnItem>,
     source: String,
+    /// Byte offset at which each line starts.
+    line_starts: Vec<usize>,
 }
 
 /// Sentinel for "no matching delimiter".
@@ -98,11 +105,42 @@ pub const NO_MATCH: usize = usize::MAX;
 impl Tree {
     /// Lexes and structures one source file.
     pub fn parse(source: &str) -> Tree {
-        let toks = significant(source);
+        let line_starts: Vec<usize> = std::iter::once(0)
+            .chain(source.bytes().enumerate().filter(|&(_, b)| b == b'\n').map(|(i, _)| i + 1))
+            .collect();
+        let toks = significant(source, &line_starts);
         let match_of = match_delims(source, &toks);
-        let mut tree = Tree { toks, match_of, fns: Vec::new(), source: source.to_string() };
+        let source = source.to_string();
+        let mut tree = Tree { toks, match_of, fns: Vec::new(), source, line_starts };
         tree.fns = tree.extract_fns();
         tree
+    }
+
+    /// The 1-based (line, column) of byte `offset`, counting bytes.
+    pub fn position(&self, offset: usize) -> (usize, usize) {
+        let line = self.line_starts.partition_point(|&s| s <= offset);
+        (line, offset - self.line_starts[line - 1] + 1)
+    }
+
+    /// The source text of 1-based lines `first..=last` (clamped to the
+    /// file), comments and string literals included.
+    pub fn lines_text(&self, first: usize, last: usize) -> &str {
+        let start = self.line_starts.get(first.max(1) - 1).copied().unwrap_or(self.source.len());
+        let end = self.line_starts.get(last).copied().unwrap_or(self.source.len());
+        &self.source[start..end.max(start)]
+    }
+
+    /// Token indices `lo..=hi`, clipped to the stream — empty for a file
+    /// with no significant tokens.
+    pub fn span(&self, lo: usize, hi: usize) -> std::ops::Range<usize> {
+        lo..hi.saturating_add(1).min(self.toks.len())
+    }
+
+    /// The qualified name of the innermost fn whose body holds token `i`,
+    /// or `""` outside every fn body.
+    pub fn enclosing_fn(&self, i: usize) -> &str {
+        // `fns` is in source order, so the last container is innermost.
+        self.fns.iter().rev().find(|f| f.body.0 <= i && i <= f.body.1).map_or("", |f| &f.qual)
     }
 
     /// The text of significant token `i`.
@@ -124,7 +162,7 @@ impl Tree {
     /// `[lo, hi]`, in source order.
     pub fn calls_in(&self, lo: usize, hi: usize) -> Vec<CallSite> {
         let mut out = Vec::new();
-        for i in lo..=hi.min(self.toks.len().saturating_sub(1)) {
+        for i in self.span(lo, hi) {
             if self.toks[i].kind != Kind::Ident {
                 continue;
             }
@@ -165,7 +203,7 @@ impl Tree {
     /// `sets[i]` from array literals, types and attributes.
     pub fn index_sites_in(&self, lo: usize, hi: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        for i in lo.max(1)..=hi.min(self.toks.len().saturating_sub(1)) {
+        for i in self.span(lo.max(1), hi) {
             if !self.is_punct(i, "[") {
                 continue;
             }
@@ -190,7 +228,7 @@ impl Tree {
     /// excluded — neither can panic.
     pub fn div_sites_in(&self, lo: usize, hi: usize) -> Vec<usize> {
         let mut out = Vec::new();
-        for i in lo..=hi.min(self.toks.len().saturating_sub(1)) {
+        for i in self.span(lo, hi) {
             if !(self.is_punct(i, "/") || self.is_punct(i, "%")) {
                 continue;
             }
@@ -425,37 +463,28 @@ fn is_zero_literal(t: &str) -> bool {
 }
 
 /// Lexes `source` and keeps the significant tokens, annotating each
-/// with its line and test-region membership.
+/// with its line, test-region membership and a preceding doc comment.
 ///
-/// Test regions are tracked the same way the source lints do: a
-/// `#[cfg(test)]` or `#[test]` attribute arms a pending flag, and the
-/// next `{` opens a region that lasts until its matching `}`.
-fn significant(source: &str) -> Vec<SigTok> {
-    // Byte offset -> 1-based line.
-    let mut line_starts = vec![0usize];
-    for (i, b) in source.bytes().enumerate() {
-        if b == b'\n' {
-            line_starts.push(i + 1);
-        }
-    }
-    let line_of = |off: usize| match line_starts.binary_search(&off) {
-        Ok(i) => i + 1,
-        Err(i) => i,
-    };
-
-    let raw = lex(source);
+/// Test regions: a `#[cfg(test)]` or `#[test]` attribute arms a pending
+/// flag, and the next `{` opens a region that lasts until its matching
+/// `}`.
+fn significant(source: &str, line_starts: &[usize]) -> Vec<SigTok> {
     let mut toks: Vec<SigTok> = Vec::new();
-    for t in &raw {
-        if matches!(t.kind, Kind::Whitespace | Kind::LineComment | Kind::BlockComment) {
-            continue;
+    let mut doc = false;
+    for t in lex(source) {
+        let text = t.text(source);
+        match t.kind {
+            Kind::Whitespace => {}
+            Kind::LineComment => doc |= text.starts_with("///") && !text.starts_with("////"),
+            Kind::BlockComment => {
+                doc |= text.starts_with("/**") && !text.starts_with("/***") && text != "/**/"
+            }
+            kind => {
+                let line = line_starts.partition_point(|&s| s <= t.start);
+                toks.push(SigTok { kind, start: t.start, end: t.end, line, in_test: false, doc });
+                doc = false;
+            }
         }
-        toks.push(SigTok {
-            kind: t.kind,
-            start: t.start,
-            end: t.end,
-            line: line_of(t.start),
-            in_test: false,
-        });
     }
 
     // Test-region pass over the significant stream.
@@ -664,5 +693,29 @@ mod tests {
                 assert_eq!(tree.match_of[m], i, "partner symmetry");
             }
         }
+    }
+
+    /// A file with no significant tokens has nothing to scan, even over
+    /// the range `0..=0`.
+    #[test]
+    fn scans_of_a_file_without_tokens_are_empty() {
+        for src in ["", "//! println!(\"x\");\n/* a / b */\n"] {
+            let tree = Tree::parse(src);
+            assert!(tree.toks.is_empty());
+            assert!(tree.calls_in(0, 0).is_empty());
+            assert!(tree.index_sites_in(0, 0).is_empty());
+            assert!(tree.div_sites_in(0, 0).is_empty());
+        }
+    }
+
+    #[test]
+    fn doc_flags_mark_outer_doc_comments_only() {
+        let src = "/// a\nfn a() {}\n//! b\n//// c\n// d\nfn b() {}\n/** e */\nfn c() {}\n";
+        let tree = Tree::parse(src);
+        let flags: Vec<(&str, bool)> = (0..tree.toks.len())
+            .filter(|&i| tree.is_ident(i, "fn"))
+            .map(|i| (tree.text(i + 1), tree.toks[i].doc))
+            .collect();
+        assert_eq!(flags, [("a", true), ("b", false), ("c", true)]);
     }
 }

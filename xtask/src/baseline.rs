@@ -1,7 +1,8 @@
 //! Shared TOML-subset baseline parsing for gate commands.
 //!
 //! Both `cargo xtask mutants` (`MUTANTS.toml`) and `cargo xtask
-//! analyze` (`PANICS.toml`) commit a baseline of *known, justified*
+//! analyze` (`PANICS.toml`, the one allow-list of every static check,
+//! `cargo xtask lint` included) commit a baseline of *known, justified*
 //! findings: entries keyed by a stable ID, each carrying a one-line
 //! reason. The format is the same deliberately tiny TOML subset in both
 //! files — only the schema string and the stanza name differ:
@@ -181,6 +182,29 @@ reason = "invariant: assoc >= 1 gives every set at least one way"
     fn stanza_name_mismatch_is_rejected() {
         let text = "schema = \"psb-analyze-v1\"\n[[survivor]]\nid = \"x\"\nreason = \"r\"\n";
         assert!(BaselineFile::parse(text, "psb-analyze-v1", "allow").is_err());
+    }
+
+    #[test]
+    fn rejects_malformed_input() {
+        for bad in [
+            "schema = \"psb-mutants-v2\"",             // wrong schema
+            "[[survivor]]\nid = \"x\"\nreason = \"r\"", // missing schema
+            "schema = \"psb-mutants-v1\"\nid = \"x\"", // key outside stanza
+            "schema = \"psb-mutants-v1\"\n[[survivor]]\nid = \"x\"", // no reason
+            "schema = \"psb-mutants-v1\"\n[[survivor]]\nid = \"x\"\nreason = \"\"", // empty reason
+            "schema = \"psb-mutants-v1\"\n[[survivor]]\nid = \"x\"\nreason = \"r\"\n[[survivor]]\nid = \"x\"\nreason = \"r\"", // duplicate
+            "schema = \"psb-mutants-v1\"\nnot a kv line",
+            "schema = \"psb-mutants-v1\"\n[[survivor]]\nid = \"x\" junk\nreason = \"r\"",
+        ] {
+            assert!(BaselineFile::parse(bad, "psb-mutants-v1", "survivor").is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn missing_file_is_an_empty_baseline() {
+        let path = Path::new("/nonexistent/MUTANTS.toml");
+        let b = BaselineFile::load(path, "psb-mutants-v1", "survivor").unwrap();
+        assert!(b.entries.is_empty());
     }
 
     #[test]

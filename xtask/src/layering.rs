@@ -20,7 +20,6 @@
 //!   `psb-core` may see `psb-obs` only from its tests.
 //! * `psb-sim` and the root package are the composition roots.
 
-use crate::lints::Finding;
 use std::path::Path;
 
 /// One row: crate directory (relative to the repo root), allowed
@@ -122,49 +121,50 @@ pub fn parse_manifest_deps(manifest: &str) -> ManifestDeps {
 }
 
 /// Checks every crate in [`LAYERS`] against its manifest on disk, and
-/// flags any workspace crate directory the table forgot.
-pub fn check_layering(root: &Path) -> Vec<Finding> {
+/// flags any workspace crate directory the table forgot. Each finding is
+/// a `file:line: [layering] message` line.
+pub fn check_layering(root: &Path) -> Vec<String> {
     let mut findings = Vec::new();
+    let mut push = |file: &str, line: usize, msg: String| {
+        findings.push(format!("{file}:{line}: [layering] {msg}"));
+    };
     for &(dir, allowed, dev_allowed) in LAYERS {
         let rel = format!("{dir}/Cargo.toml");
         let path = root.join(&rel);
         let Ok(manifest) = std::fs::read_to_string(&path) else {
-            findings.push(Finding {
-                rule: "layering",
-                file: rel,
-                line: 1,
-                msg: "manifest listed in the layering table but missing on disk; \
-                      update xtask/src/layering.rs"
+            push(
+                &rel,
+                1,
+                "manifest listed in the layering table but missing on disk; \
+                 update xtask/src/layering.rs"
                     .to_string(),
-            });
+            );
             continue;
         };
         let deps = parse_manifest_deps(&manifest);
         for (name, line) in &deps.runtime {
             if !allowed.contains(&name.as_str()) {
-                findings.push(Finding {
-                    rule: "layering",
-                    file: rel.clone(),
-                    line: *line,
-                    msg: format!(
+                push(
+                    &rel,
+                    *line,
+                    format!(
                         "`{dir}` must not depend on `{name}` (layering: allowed deps \
                          are {allowed:?}); move the code or amend xtask/src/layering.rs \
                          with the architectural justification"
                     ),
-                });
+                );
             }
         }
         for (name, line) in &deps.dev {
             if !allowed.contains(&name.as_str()) && !dev_allowed.contains(&name.as_str()) {
-                findings.push(Finding {
-                    rule: "layering",
-                    file: rel.clone(),
-                    line: *line,
-                    msg: format!(
+                push(
+                    &rel,
+                    *line,
+                    format!(
                         "`{dir}` must not dev-depend on `{name}` (allowed: runtime \
                          {allowed:?} plus dev {dev_allowed:?})"
                     ),
-                });
+                );
             }
         }
     }
@@ -178,15 +178,14 @@ pub fn check_layering(root: &Path) -> Vec<Finding> {
             }
             let rel = format!("crates/{}", e.file_name().to_string_lossy());
             if !LAYERS.iter().any(|(dir, _, _)| *dir == rel) {
-                findings.push(Finding {
-                    rule: "layering",
-                    file: format!("{rel}/Cargo.toml"),
-                    line: 1,
-                    msg: format!(
+                push(
+                    &format!("{rel}/Cargo.toml"),
+                    1,
+                    format!(
                         "crate `{rel}` has no row in the layering table; add one to \
                          xtask/src/layering.rs"
                     ),
-                });
+                );
             }
         }
     }

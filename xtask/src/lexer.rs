@@ -1,7 +1,7 @@
 //! A minimal Rust lexer, pure std — the shared foundation of every
 //! token-level tool in xtask: the mutation engine (`cargo xtask
-//! mutants`), the semantic analysis passes (`cargo xtask analyze`), and
-//! the source lints (`cargo xtask lint`).
+//! mutants`) and the static checker (`cargo xtask analyze`, which
+//! `cargo xtask lint` runs), both through the token tree.
 //!
 //! These tools need just enough token structure to work safely:
 //! operators must not be found inside strings, comments, char literals

@@ -4,9 +4,8 @@
 //!
 //! * `lint` — run `cargo fmt --check` and `cargo clippy -- -D warnings`
 //!   when those components are installed, then always run the
-//!   workspace's own source lints (see [`lints`]) and the crate-layering
-//!   checker (see [`layering`]). Exits nonzero on any finding, so it
-//!   works as a CI gate.
+//!   crate-layering checker (see [`layering`]) and every `analyze` pass.
+//!   Exits nonzero on any finding, so it works as a CI gate.
 //! * `model` — build the workspace with `--cfg psb_model` and run the
 //!   concurrency model-checker suites (`tests/model.rs` in `psb-model`,
 //!   `psb-sim` and `psb-workloads`): the sweep worker pool and the trace
@@ -24,20 +23,19 @@
 //!   `BENCH_psb.json` baseline (see [`benchgate`]).
 //! * `mutants` — mutation-test the hot-path files against the committed
 //!   `MUTANTS.toml` survivor baseline (see [`mutants`]).
-//! * `analyze` — token-tree semantic analysis: hot-path panic-freedom,
-//!   static lock-order, cast/unit safety, gated against the committed
-//!   `PANICS.toml` baseline (see [`analyze`]).
+//! * `analyze` — the static checker: hot-path panic-freedom, static
+//!   lock-order, cast/unit safety and the source rules, gated against
+//!   `PANICS.toml`, the one allow-list (see [`analyze`]). It needs no
+//!   toolchain component.
 
 mod analyze;
 mod baseline;
 mod benchgate;
 mod layering;
 mod lexer;
-mod lints;
 mod mutants;
 mod validate;
 
-use lints::Finding;
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
 
@@ -56,11 +54,10 @@ struct Cmd {
 const COMMANDS: &[Cmd] = &[
     Cmd {
         name: "lint",
-        synopsis: "[--src-only]",
+        synopsis: "",
         help: &[
-            "run fmt + clippy (when available), source lints",
-            "and the crate-layering checker",
-            "  --src-only        skip the fmt/clippy toolchain passes",
+            "run fmt + clippy (when available), the crate-layering",
+            "checker and every analyze pass",
         ],
         run: lint,
     },
@@ -115,13 +112,13 @@ const COMMANDS: &[Cmd] = &[
     },
     Cmd {
         name: "analyze",
-        synopsis: "[--pass panics|locks|casts] [--baseline FILE] [--report FILE]",
+        synopsis: "[--pass panics|locks|casts|rules] [--baseline FILE] [--report FILE]",
         help: &[
-            "token-tree semantic analysis over the workspace:",
+            "token-tree static analysis over the workspace:",
             "hot-path panic-freedom (call graph rooted at the",
             "engine/memory entry points), static lock-order",
-            "(fails on cycles), and cast/unit safety; panic and",
-            "cast findings gate against the committed PANICS.toml",
+            "(fails on cycles), cast/unit safety and the source",
+            "rules; findings gate against the committed PANICS.toml",
             "  --pass NAME       run one pass (repeatable; default all)",
             "  --baseline FILE   finding baseline (default PANICS.toml)",
             "  --report FILE     write a psb-analyze-v1 JSON report",
@@ -190,41 +187,32 @@ fn repo_root() -> PathBuf {
     manifest.parent().expect("xtask always lives one level below the repo root").to_path_buf()
 }
 
-fn lint(flags: &[String]) -> ExitCode {
-    let src_only = flags.iter().any(|f| f == "--src-only");
-    let root = repo_root();
-    let mut failed = false;
-
-    if !src_only {
-        failed |= !run_toolchain_pass(
-            &root,
-            "rustfmt",
-            &["fmt", "--version"],
-            &["fmt", "--all", "--check"],
-        );
-        failed |= !run_toolchain_pass(
-            &root,
-            "clippy",
-            &["clippy", "--version"],
-            &["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"],
-        );
+fn lint(args: &[String]) -> ExitCode {
+    if let Some(a) = args.first() {
+        eprintln!("xtask lint: unexpected argument {a:?}");
+        return usage(2);
     }
+    let root = repo_root();
+    let fmt = ["fmt", "--all", "--check"];
+    let clippy = ["clippy", "--workspace", "--all-targets", "--", "-D", "warnings"];
+    let mut ok = run_toolchain_pass(&root, "rustfmt", &["fmt", "--version"], &fmt);
+    ok &= run_toolchain_pass(&root, "clippy", &["clippy", "--version"], &clippy);
 
-    let mut findings = lint_sources(&root);
-    findings.extend(layering::check_layering(&root));
-    for f in &findings {
+    let layering = layering::check_layering(&root);
+    for f in &layering {
         println!("{f}");
     }
-    if !findings.is_empty() {
-        eprintln!("xtask lint: {} finding(s)", findings.len());
-        failed = true;
+    if layering.is_empty() {
+        println!("xtask lint: crate layering clean");
     } else {
-        println!("xtask lint: source lints clean");
+        eprintln!("xtask lint: {} layering finding(s)", layering.len());
+        ok = false;
     }
-    if failed {
-        ExitCode::FAILURE
-    } else {
+    ok &= analyze::analyze(&[]) == ExitCode::SUCCESS;
+    if ok {
         ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
     }
 }
 
@@ -297,27 +285,6 @@ fn run_toolchain_pass(root: &Path, name: &str, probe: &[&str], args: &[&str]) ->
             false
         }
     }
-}
-
-/// Apply every source lint to the workspace's `src` trees.
-fn lint_sources(root: &Path) -> Vec<Finding> {
-    let mut findings = Vec::new();
-    for crate_dir in crate_dirs(root) {
-        let src = crate_dir.join("src");
-        let lib = std::fs::read_to_string(src.join("lib.rs"))
-            .or_else(|_| std::fs::read_to_string(src.join("main.rs")))
-            .unwrap_or_default();
-        let check_docs = lints::wants_missing_docs(&lib);
-        for file in rust_files(&src) {
-            let Ok(source) = std::fs::read_to_string(&file) else {
-                continue;
-            };
-            let rel = file.strip_prefix(root).unwrap_or(&file).to_string_lossy().replace('\\', "/");
-            findings.extend(lints::lint_file(&rel, &source, check_docs));
-        }
-    }
-    findings.sort_by(|a, b| (&a.file, a.line).cmp(&(&b.file, b.line)));
-    findings
 }
 
 /// Every crate directory in the workspace: the root package, all

@@ -7,20 +7,20 @@
 //! (see [`ops`]), applies each in a scratch copy of the workspace and
 //! runs that crate's test suite per mutant (see [`runner`]). A mutant the suite fails to kill is a
 //! survivor; survivors must appear, with a one-line justification, in
-//! the committed `MUTANTS.toml` baseline (see [`baseline`]) or the run
+//! the committed `MUTANTS.toml` baseline (the shared [`crate::baseline`]
+//! format, schema `psb-mutants-v1`, `[[survivor]]` stanzas) or the run
 //! exits nonzero. New blind spots therefore cannot land silently — the
 //! same lock-in pattern the bench gate uses for performance.
 //!
 //! Everything is plain `std`: the workspace's minimal Rust lexer
-//! ([`crate::lexer`], shared with `cargo xtask analyze`) instead of a
-//! parser crate, `std::thread` instead of a job-queue dependency, a tiny
+//! ([`crate::lexer`], shared with `cargo xtask analyze`, whose token tree
+//! also marks the test code no mutant touches) instead of a parser crate, `std::thread` instead of a job-queue dependency, a tiny
 //! TOML subset reader for the baseline. The engine runs fully offline.
 
-pub mod baseline;
 pub mod ops;
 pub mod runner;
 
-use baseline::Baseline;
+use crate::baseline::{self, BaselineFile};
 use ops::Mutant;
 use psb_obs::json::Json;
 use runner::{Config, KillSuite, MutantResult, Outcome};
@@ -128,7 +128,7 @@ pub fn mutants(args: &[String]) -> ExitCode {
         return ExitCode::SUCCESS;
     }
 
-    let base = match Baseline::load(&opts.baseline) {
+    let base = match BaselineFile::load(&opts.baseline, "psb-mutants-v1", "survivor") {
         Ok(b) => b,
         Err(e) => {
             eprintln!("xtask mutants: baseline: {e}");
@@ -237,7 +237,7 @@ fn score(killed: usize, timeout: usize, survived: usize) -> f64 {
 /// warn about stale entries (mutant no longer generated, or no longer
 /// surviving).
 fn gate(
-    base: &Baseline,
+    base: &BaselineFile,
     survivors: &[&Mutant],
     all: &[Mutant],
     results: &[MutantResult],
@@ -246,7 +246,7 @@ fn gate(
 ) -> ExitCode {
     let mut failed = false;
     let new: Vec<&&Mutant> =
-        survivors.iter().filter(|m| !base.survivors.contains_key(&m.id())).collect();
+        survivors.iter().filter(|m| !base.entries.contains_key(&m.id())).collect();
     let known = survivors.len() - new.len();
     if known > 0 {
         println!("xtask mutants: {known} survivor(s) covered by the baseline");
@@ -261,10 +261,8 @@ fn gate(
         );
         eprintln!();
         for m in &new {
-            eprintln!(
-                "{}",
-                Baseline::stanza(&m.id(), &format!("TODO: justify ({})", m.describe()))
-            );
+            let reason = format!("TODO: justify ({})", m.describe());
+            eprintln!("{}", baseline::stanza("survivor", &m.id(), &reason));
         }
     }
 
@@ -275,7 +273,7 @@ fn gate(
         survivors.iter().map(|m| m.id()).collect();
     let executed: std::collections::BTreeSet<String> =
         results.iter().map(|r| chosen[r.index].id()).collect();
-    for id in base.survivors.keys() {
+    for id in base.entries.keys() {
         if generated.contains(id) {
             if executed.contains(id) && !survived_ids.contains(id) {
                 eprintln!(

@@ -24,10 +24,12 @@
 //! mutants; anything that still fails to build is classified unviable
 //! and excluded from the score rather than miscounted.
 //!
-//! Test regions (`#[cfg(test)]` items) are skipped: mutating a test
-//! can only ever make the suite stricter-looking, never reveals a gap.
+//! Test code (the tokens the [`Tree`] marks `in_test`) is skipped:
+//! mutating a test can only ever make the suite stricter-looking, never
+//! reveals a gap.
 
-use crate::lexer::{lex, Kind, Token};
+use crate::analyze::tokentree::{SigTok, Tree, NO_MATCH};
+use crate::lexer::Kind;
 
 /// One generated mutant: a byte-span splice into a known file.
 #[derive(Clone, Debug, PartialEq, Eq)]
@@ -114,13 +116,11 @@ const SWAPS: &[(&str, &str, &str)] = &[
 /// path recorded in IDs; `krate` the package whose tests form the kill
 /// suite.
 pub fn generate(file: &str, krate: &str, source: &str) -> Vec<Mutant> {
-    let tokens = lex(source);
-    let excluded = test_regions(source, &tokens);
-    let line_starts = line_starts(source);
+    let tree = Tree::parse(source);
     let mut out = Vec::new();
 
     let mk = |start: usize, end: usize, op: &'static str, replacement: String| {
-        let (line, col) = position(&line_starts, start);
+        let (line, col) = tree.position(start);
         Mutant {
             file: file.to_string(),
             krate: krate.to_string(),
@@ -133,15 +133,14 @@ pub fn generate(file: &str, krate: &str, source: &str) -> Vec<Mutant> {
             replacement,
         }
     };
-    let in_excluded = |start: usize| excluded.iter().any(|r| r.contains(&start));
 
-    for (ti, t) in tokens.iter().enumerate() {
-        if in_excluded(t.start) {
+    for (ti, t) in tree.toks.iter().enumerate() {
+        if t.in_test {
             continue;
         }
+        let text = tree.text(ti);
         match t.kind {
             Kind::Punct => {
-                let text = t.text(source);
                 if let Some(&(_, repl, op)) = SWAPS.iter().find(|(from, ..)| *from == text) {
                     if spaced(source, t) {
                         out.push(mk(t.start, t.end, op, repl.to_string()));
@@ -149,11 +148,9 @@ pub fn generate(file: &str, krate: &str, source: &str) -> Vec<Mutant> {
                 }
             }
             Kind::Number => {
-                let text = t.text(source);
                 // Decimal literals only; skip tuple indexes (`pair.0`).
                 if !text.bytes().all(|b| b.is_ascii_digit())
-                    || prev_code_token(&tokens, ti)
-                        .is_some_and(|p| p.kind == Kind::Punct && p.text(source) == ".")
+                    || ti.checked_sub(1).is_some_and(|p| tree.is_punct(p, "."))
                 {
                     continue;
                 }
@@ -168,24 +165,22 @@ pub fn generate(file: &str, krate: &str, source: &str) -> Vec<Mutant> {
                     }
                 }
             }
-            Kind::Ident => match t.text(source) {
-                kw @ ("continue" | "break") => {
-                    if let Some(semi) = next_code_token(&tokens, ti)
-                        .filter(|n| n.kind == Kind::Punct && n.text(source) == ";")
-                    {
-                        let op = if kw == "continue" { "delete-continue" } else { "delete-break" };
-                        out.push(mk(t.start, semi.end, op, String::new()));
-                    }
+            Kind::Ident => match text {
+                kw @ ("continue" | "break")
+                    if ti + 1 < tree.toks.len() && tree.is_punct(ti + 1, ";") =>
+                {
+                    let op = if kw == "continue" { "delete-continue" } else { "delete-break" };
+                    out.push(mk(t.start, tree.toks[ti + 1].end, op, String::new()));
                 }
                 "return" => {
-                    if let Some(end) = statement_end(source, &tokens, ti) {
+                    if let Some(end) = statement_end(&tree, ti) {
                         out.push(mk(t.start, end, "delete-return", String::new()));
                     }
                 }
                 "match" => {
-                    for (start, end) in match_arms(source, &tokens, ti) {
-                        if !in_excluded(start) {
-                            out.push(mk(start, end, "delete-arm", String::new()));
+                    for (first, end) in match_arms(&tree, ti) {
+                        if !tree.toks[first].in_test {
+                            out.push(mk(tree.toks[first].start, end, "delete-arm", String::new()));
                         }
                     }
                 }
@@ -204,235 +199,97 @@ pub fn generate(file: &str, krate: &str, source: &str) -> Vec<Mutant> {
 
 /// True when whitespace or a comment directly precedes *and* follows
 /// the token — the rustfmt signature of a binary operator.
-fn spaced(source: &str, t: &Token) -> bool {
+fn spaced(source: &str, t: &SigTok) -> bool {
     let before = source[..t.start].chars().next_back();
     let after = source[t.end..].chars().next();
     before.is_some_and(char::is_whitespace) && after.is_some_and(char::is_whitespace)
 }
 
-/// The previous non-whitespace, non-comment token.
-fn prev_code_token(tokens: &[Token], i: usize) -> Option<&Token> {
-    tokens[..i].iter().rev().find(|t| code_token(t))
-}
-
-/// The next non-whitespace, non-comment token.
-fn next_code_token(tokens: &[Token], i: usize) -> Option<&Token> {
-    tokens[i + 1..].iter().find(|t| code_token(t))
-}
-
-fn code_token(t: &Token) -> bool {
-    !matches!(t.kind, Kind::Whitespace | Kind::LineComment | Kind::BlockComment)
+/// The token after the delimited group that opens at `i`, or `i + 1`
+/// for any other token; `None` for an unmatched opener.
+fn skip_group(tree: &Tree, i: usize) -> Option<usize> {
+    let opens = tree.toks[i].kind == Kind::Punct && matches!(tree.text(i), "(" | "[" | "{");
+    match tree.match_of[i] {
+        NO_MATCH if opens => None,
+        m if opens => Some(m + 1),
+        _ => Some(i + 1),
+    }
 }
 
 /// Byte offset one past the `;` ending the statement opened at token
-/// `i`, tracking nesting so `;` inside closures or blocks is skipped.
-fn statement_end(source: &str, tokens: &[Token], i: usize) -> Option<usize> {
-    let mut depth = 0i64;
-    for t in &tokens[i + 1..] {
-        if t.kind != Kind::Punct {
-            continue;
+/// `i`, jumping over nested groups so `;` inside closures or blocks is
+/// skipped; `None` for `return x` in tail position.
+fn statement_end(tree: &Tree, i: usize) -> Option<usize> {
+    let mut j = i + 1;
+    while j < tree.toks.len() {
+        if tree.is_punct(j, ";") {
+            return Some(tree.toks[j].end);
         }
-        match t.text(source) {
-            "(" | "[" | "{" => depth += 1,
-            ")" | "]" | "}" => {
-                depth -= 1;
-                if depth < 0 {
-                    return None; // `return x` in tail position, no `;`
-                }
-            }
-            ";" if depth == 0 => return Some(t.end),
-            _ => {}
+        if tree.toks[j].kind == Kind::Punct && matches!(tree.text(j), ")" | "]" | "}") {
+            return None;
         }
+        j = skip_group(tree, j)?;
     }
     None
 }
 
-/// The arms of the `match` whose keyword is at token `i`, as deletable
-/// byte spans (arm start through its trailing comma or block). Returns
-/// an empty list for matches with fewer than two arms — deleting the
-/// only arm can never compile.
-fn match_arms(source: &str, tokens: &[Token], i: usize) -> Vec<(usize, usize)> {
-    // Find the match-block `{`: the first opening brace with all
-    // bracket kinds balanced (the scrutinee may contain calls/indexing
-    // but, per Rust's grammar, no bare struct literals).
-    let mut depth = 0i64;
-    let mut ti = i + 1;
-    let open = loop {
-        let Some(t) = tokens.get(ti) else {
-            return Vec::new();
-        };
-        if t.kind == Kind::Punct {
-            match t.text(source) {
-                "{" if depth == 0 => break ti,
-                "(" | "[" | "{" => depth += 1,
-                ")" | "]" | "}" => depth -= 1,
-                _ => {}
-            }
-        }
-        ti += 1;
+/// The arms of the `match` whose keyword is token `i`, as deletable
+/// spans: each arm's first token and the byte offset one past its
+/// trailing comma or block (or up to the match's `}` for a last arm
+/// with neither). Empty for matches with fewer than two arms — deleting
+/// the only arm can never compile.
+fn match_arms(tree: &Tree, i: usize) -> Vec<(usize, usize)> {
+    // The match block is the first `{` outside the scrutinee's groups
+    // (per Rust's grammar, the scrutinee has no bare struct literals).
+    let mut j = i + 1;
+    while j < tree.toks.len() && !tree.is_punct(j, "{") {
+        let Some(next) = skip_group(tree, j) else { return Vec::new() };
+        j = next;
+    }
+    let close = match tree.match_of.get(j) {
+        Some(&c) if c != NO_MATCH => c,
+        _ => return Vec::new(),
     };
     let mut arms = Vec::new();
-    let mut ti = open + 1;
-    loop {
-        // Skip to the start of the next arm.
-        while tokens.get(ti).is_some_and(|t| !code_token(t)) {
-            ti += 1;
+    j += 1;
+    while j < close {
+        let first = j;
+        // The pattern (and any guard) runs to the `=>`.
+        while j < close && !tree.is_punct(j, "=>") {
+            let Some(next) = skip_group(tree, j) else { return Vec::new() };
+            j = next;
         }
-        let start_tok = match tokens.get(ti) {
-            None => return Vec::new(), // unbalanced — give up quietly
-            Some(t) if t.kind == Kind::Punct && t.text(source) == "}" => break,
-            Some(t) => t,
-        };
-        let arm_start = start_tok.start;
-        // Scan the pattern (and any guard) to the `=>` at depth 0.
-        let mut depth = 0i64;
-        let arrow = loop {
-            let t = match tokens.get(ti) {
-                None => return Vec::new(),
-                Some(t) => t,
-            };
-            if t.kind == Kind::Punct {
-                match t.text(source) {
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    "=>" if depth == 0 => break ti,
-                    _ => {}
-                }
-            }
-            ti += 1;
-        };
-        // The body: a braced block (optional trailing comma) or an
-        // expression ending at a depth-0 comma / the match's `}`.
-        ti = arrow + 1;
-        while tokens.get(ti).is_some_and(|t| !code_token(t)) {
-            ti += 1;
+        j += 1;
+        if j >= close {
+            return Vec::new();
         }
-        let mut arm_end;
-        if tokens.get(ti).is_some_and(|t| t.kind == Kind::Punct && t.text(source) == "{") {
-            let mut depth = 0i64;
-            loop {
-                let t = match tokens.get(ti) {
-                    None => return Vec::new(),
-                    Some(t) => t,
-                };
-                if t.kind == Kind::Punct {
-                    match t.text(source) {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" => {
-                            depth -= 1;
-                            if depth == 0 {
-                                arm_end = t.end;
-                                ti += 1;
-                                break;
-                            }
-                        }
-                        _ => {}
-                    }
-                }
-                ti += 1;
+        // The body: a braced block with an optional comma, or an
+        // expression ending at a comma or the match's `}`.
+        let end = if tree.is_punct(j, "{") {
+            let Some(next) = skip_group(tree, j) else { return Vec::new() };
+            j = next;
+            if j < close && tree.is_punct(j, ",") {
+                j += 1;
             }
-            // Optional comma after a block body.
-            let mut tj = ti;
-            while tokens.get(tj).is_some_and(|t| !code_token(t)) {
-                tj += 1;
-            }
-            if tokens.get(tj).is_some_and(|t| t.kind == Kind::Punct && t.text(source) == ",") {
-                arm_end = tokens[tj].end;
-                ti = tj + 1;
-            }
+            tree.toks[j - 1].end
         } else {
-            let mut depth = 0i64;
-            loop {
-                let t = match tokens.get(ti) {
-                    None => return Vec::new(),
-                    Some(t) => t,
-                };
-                if t.kind == Kind::Punct {
-                    match t.text(source) {
-                        "(" | "[" | "{" => depth += 1,
-                        ")" | "]" | "}" if depth > 0 => depth -= 1,
-                        "}" => {
-                            // The match's own closing brace: the arm has
-                            // no trailing comma.
-                            arm_end = t.start;
-                            arms.push((arm_start, arm_end));
-                            return finish_arms(arms);
-                        }
-                        "," if depth == 0 => {
-                            arm_end = t.end;
-                            ti += 1;
-                            break;
-                        }
-                        _ => {}
-                    }
-                }
-                ti += 1;
+            while j < close && !tree.is_punct(j, ",") {
+                let Some(next) = skip_group(tree, j) else { return Vec::new() };
+                j = next;
             }
-        }
-        arms.push((arm_start, arm_end));
-    }
-    finish_arms(arms)
-}
-
-/// Drops degenerate cases: a single-arm match is never mutated.
-fn finish_arms(arms: Vec<(usize, usize)>) -> Vec<(usize, usize)> {
-    if arms.len() < 2 {
-        Vec::new()
-    } else {
-        arms
-    }
-}
-
-/// Byte ranges covered by `#[cfg(test)]`-attributed items: from the
-/// attribute to the close of the following brace block.
-fn test_regions(source: &str, tokens: &[Token]) -> Vec<std::ops::Range<usize>> {
-    let mut regions = Vec::new();
-    let mut search = 0;
-    while let Some(pos) = source[search..].find("#[cfg(test)]") {
-        let attr_start = search + pos;
-        search = attr_start + 1;
-        // Only honor real attribute tokens (`#` Punct), not occurrences
-        // inside strings or comments.
-        let Some(hash) = tokens.iter().find(|t| t.start == attr_start && t.kind == Kind::Punct)
-        else {
-            continue;
+            if j >= close {
+                tree.toks[close].start
+            } else {
+                j += 1;
+                tree.toks[j - 1].end
+            }
         };
-        // Find the opening brace of the attributed item, then balance.
-        let mut depth = 0i64;
-        let mut end = source.len();
-        let mut opened = false;
-        for t in tokens.iter().filter(|t| t.start >= hash.start && t.kind == Kind::Punct) {
-            match t.text(source) {
-                "{" => {
-                    depth += 1;
-                    opened = true;
-                }
-                "}" => {
-                    depth -= 1;
-                    if opened && depth == 0 {
-                        end = t.end;
-                        break;
-                    }
-                }
-                _ => {}
-            }
-        }
-        regions.push(attr_start..end);
+        arms.push((first, end));
     }
-    regions
-}
-
-/// Byte offsets at which each line starts.
-fn line_starts(source: &str) -> Vec<usize> {
-    std::iter::once(0)
-        .chain(source.bytes().enumerate().filter(|(_, b)| *b == b'\n').map(|(i, _)| i + 1))
-        .collect()
-}
-
-/// 1-based (line, column) of a byte offset.
-fn position(line_starts: &[usize], offset: usize) -> (usize, usize) {
-    let line = line_starts.partition_point(|&s| s <= offset);
-    (line, offset - line_starts[line - 1] + 1)
+    if arms.len() < 2 {
+        arms.clear();
+    }
+    arms
 }
 
 /// Appends a discriminator to any IDs that would otherwise collide.

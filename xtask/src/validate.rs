@@ -20,9 +20,9 @@
 //! * `psb-sweep-progress-v1` — the `--serve` `/progress` body:
 //!   aggregate counts, ETA and per-worker rows.
 //! * `psb-analyze-v1` — `cargo xtask analyze --report`: per-pass
-//!   finding lists (panic-freedom, lock-order, cast safety), the
-//!   baseline accounting, and the gate verdict — which must agree with
-//!   the finding lists it summarizes.
+//!   finding lists (panic-freedom, lock-order, cast safety, source
+//!   rules), the baseline accounting, and the gate verdict — which must
+//!   agree with the finding lists and stale entries it summarizes.
 
 use psb_obs::json::{self, Json};
 use std::process::ExitCode;
@@ -248,13 +248,13 @@ fn validate_journal(text: &str) -> Result<String, String> {
 
 /// Validates a `psb-analyze-v1` report: pass list, per-pass finding
 /// shapes, baseline accounting, and that the `ok` verdict agrees with
-/// the data (a report claiming `ok` may carry no new findings and no
-/// lock cycles).
+/// the data (a report claiming `ok` may carry no new findings, no stale
+/// baseline entries and no lock cycles).
 fn validate_analyze(doc: &Json) -> Result<String, String> {
     let passes = require(doc, "passes")?.as_arr().ok_or("`passes` is not an array")?;
     for (i, p) in passes.iter().enumerate() {
         match p.as_str() {
-            Some("panics" | "locks" | "casts") => {}
+            Some("panics" | "locks" | "casts" | "rules") => {}
             Some(other) => return Err(format!("passes[{i}]: unknown pass {other:?}")),
             None => return Err(format!("passes[{i}] is not a string")),
         }
@@ -310,17 +310,21 @@ fn validate_analyze(doc: &Json) -> Result<String, String> {
         require_u64(c, "scanned").map_err(|m| format!("casts: {m}"))?;
         total_findings += check_findings(c, "casts")?;
     }
+    if let Some(r) = doc.get("rules") {
+        total_findings += check_findings(r, "rules")?;
+    }
 
     let new = require_u64(doc, "new")?;
     require_u64(doc, "baselined")?;
-    require(doc, "stale")?.as_arr().ok_or("`stale` is not an array")?;
+    let stale = require(doc, "stale")?.as_arr().ok_or("`stale` is not an array")?.len();
     let ok = match require(doc, "ok")? {
         Json::Bool(b) => *b,
         _ => return Err("`ok` is not a bool".to_string()),
     };
-    if ok && (new > 0 || cycles > 0) {
+    if ok && (new > 0 || stale > 0 || cycles > 0) {
         return Err(format!(
-            "verdict says ok but the report carries {new} new finding(s) and {cycles} cycle(s)"
+            "verdict says ok but the report carries {new} new finding(s), {stale} stale \
+             entr(ies) and {cycles} cycle(s)"
         ));
     }
     Ok(format!(
@@ -517,7 +521,7 @@ mod tests {
 
     #[test]
     fn analyze_reports_are_checked_and_verdict_must_agree() {
-        let good = r#"{"schema":"psb-analyze-v1","passes":["panics","locks","casts"],
+        let good = r#"{"schema":"psb-analyze-v1","passes":["panics","locks","casts","rules"],
             "files":10,
             "panics":{"roots":2,"reachable":20,"findings":[
                 {"id":"panics:a.rs:F::f:index","file":"a.rs","fn":"F::f","kind":"index",
@@ -526,20 +530,32 @@ mod tests {
                 {"from":"sim/state","to":"serve/slot","file":"b.rs","line":7,"via":"publish"}],
                 "waits":1,"cycles":[]},
             "casts":{"scanned":50,"findings":[]},
-            "new":0,"baselined":1,"stale":[],"ok":true}"#;
+            "rules":{"findings":[
+                {"id":"rules:c.rs:g:println","file":"c.rs","fn":"g","kind":"println",
+                 "lines":[2],"baselined":true}]},
+            "new":0,"baselined":2,"stale":[],"ok":true}"#;
         let desc = validate_analyze(&json::parse(good).unwrap()).unwrap();
-        assert!(desc.contains("3 pass(es)"), "{desc}");
+        assert!(desc.contains("4 pass(es), 2 finding(s)"), "{desc}");
         assert!(desc.contains("verdict ok"), "{desc}");
 
-        // A verdict that disagrees with its own counts is corruption.
+        // A verdict that disagrees with its own counts is corruption:
+        // new findings and stale entries both fail the gate.
         let lying = good.replace("\"new\":0", "\"new\":3");
         let err = validate_analyze(&json::parse(&lying).unwrap()).unwrap_err();
         assert!(err.contains("says ok"), "{err}");
+        let stale = good.replace("\"stale\":[]", "\"stale\":[\"rules:gone.rs::println\"]");
+        let err = validate_analyze(&json::parse(&stale).unwrap()).unwrap_err();
+        assert!(err.contains("1 stale"), "{err}");
+        let failed = stale.replace("\"ok\":true", "\"ok\":false");
+        assert!(validate_analyze(&json::parse(&failed).unwrap()).is_ok());
 
-        // Findings must carry the full shape.
+        // Findings must carry the full shape, in every pass's section.
         let bad = good.replace("\"kind\":\"index\",", "");
         let err = validate_analyze(&json::parse(&bad).unwrap()).unwrap_err();
         assert!(err.contains("kind"), "{err}");
+        let bad = good.replace("\"lines\":[2]", "\"lines\":[]");
+        let err = validate_analyze(&json::parse(&bad).unwrap()).unwrap_err();
+        assert!(err.contains("rules.findings[0]"), "{err}");
 
         // Unknown pass names are rejected.
         let odd = good.replace("\"panics\",", "\"vibes\",");
