@@ -8,7 +8,7 @@ use psb_sim::{run_point, MachineConfig, PrefetcherKind, Simulation, Table};
 use psb_workloads::Benchmark;
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Ablation — stream-buffer file geometry (ConfAlloc-Priority PSB)\n");
 
     let geometries: [(usize, usize); 6] = [(2, 4), (4, 4), (8, 2), (8, 4), (8, 8), (16, 4)];

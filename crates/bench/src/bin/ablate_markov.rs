@@ -17,7 +17,7 @@ fn psb_with_markov(entries: usize, bits: u32) -> Box<StreamEngine<SfmPredictor>>
 }
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Ablation — Markov geometry vs. PSB speedup (ConfAlloc-Priority)\n");
 
     let geometries: [(usize, u32); 6] =

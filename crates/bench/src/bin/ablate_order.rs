@@ -11,7 +11,7 @@ use psb_sim::{run_point, MachineConfig, PrefetcherKind, Simulation, Table};
 use psb_workloads::Benchmark;
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Ablation — Markov order (ConfAlloc-Priority PSB)\n");
 
     let mut t =

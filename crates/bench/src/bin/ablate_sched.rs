@@ -14,7 +14,7 @@ fn run_with(config: SbConfig, bench: Benchmark, scale: u32) -> psb_sim::SimStats
 }
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Ablation — allocation threshold & priority constants\n");
 
     let benches = [Benchmark::DeltaBlue, Benchmark::Sis];

@@ -11,7 +11,7 @@ use psb_sim::{run_config, MachineConfig, PrefetcherKind, Table};
 use psb_workloads::Benchmark;
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Extension — 16-entry victim cache vs. PSB prefetching\n");
 
     let mut t = Table::new(vec![

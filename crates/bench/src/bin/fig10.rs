@@ -2,13 +2,13 @@
 //! over a same-cache baseline, varying the L1D geometry: 16K 4-way,
 //! 32K 2-way, 32K 4-way.
 
-use psb_bench::{machine_banner, scale_arg};
+use psb_bench::scale_arg;
 use psb_mem::CacheConfig;
-use psb_sim::{run_config, MachineConfig, PrefetcherKind, Table};
+use psb_sim::{machine_banner, run_config, MachineConfig, PrefetcherKind, Table};
 use psb_workloads::Benchmark;
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Figure 10 — speedup vs. L1D geometry ({})\n", machine_banner(scale));
 
     let caches = [

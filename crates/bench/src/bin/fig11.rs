@@ -1,13 +1,13 @@
 //! Figure 11: IPC with and without perfect store-set memory
 //! disambiguation, for the baseline and for PSB (ConfAlloc-Priority).
 
-use psb_bench::{machine_banner, scale_arg};
+use psb_bench::scale_arg;
 use psb_cpu::Disambiguation;
-use psb_sim::{f2, run_config, MachineConfig, PrefetcherKind, Table};
+use psb_sim::{f2, machine_banner, run_config, MachineConfig, PrefetcherKind, Table};
 use psb_workloads::Benchmark;
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Figure 11 — IPC with/without perfect disambiguation ({})\n", machine_banner(scale));
 
     let mut t = Table::new(vec![

@@ -9,7 +9,7 @@ use psb_sim::Table;
 use psb_workloads::Benchmark;
 
 fn main() {
-    let scale = scale_arg();
+    let Ok(scale) = scale_arg().inspect_err(|u| eprintln!("{u}")) else { std::process::exit(2) };
     println!("Figure 4 — percent of miss transitions captured vs. delta width (bits)\n");
 
     let widths = [2usize, 4, 6, 8, 10, 12, 14, 16, 20, 24];

@@ -1,9 +1,11 @@
 //! Shared plumbing for the experiment binaries that regenerate the
 //! paper's tables and figures.
 //!
-//! Each binary (`table2`, `fig4` … `fig11`, `ablate_markov`,
-//! `ablate_sched`) prints the rows/series of one paper artifact. Run them
-//! with `cargo run --release -p psb-bench --bin <name> [scale]`.
+//! `views GRID OUTDIR` renders Table 2, Figures 5–9 and the prior-art
+//! comparison from a `psb-sweep-v1` grid (see `psb_sim::VIEWS`). The
+//! artifacts whose numbers are not all cells of that grid (`fig4`,
+//! `fig10`, `fig11` and the `ablate_*` ablations) have a binary each:
+//! `cargo run --release -p psb-bench --bin <name> [scale]`.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -11,15 +13,30 @@
 /// Pure-std microbenchmark harness used by the `benches/` binaries.
 pub mod micro;
 
-use psb_common::{Addr, Cycle};
+use psb_common::Addr;
 use psb_cpu::DynInst;
 use psb_mem::{Cache, CacheConfig};
 use psb_sim::DEFAULT_SCALE;
+use std::ffi::OsString;
 
-/// Parses the trace scale from `argv[1]`, defaulting to
-/// [`DEFAULT_SCALE`]. Pass a larger scale for longer, steadier runs.
-pub fn scale_arg() -> u32 {
-    std::env::args().nth(1).and_then(|s| s.parse().ok()).unwrap_or(DEFAULT_SCALE)
+/// Parses a figure binary's arguments: none, for [`DEFAULT_SCALE`], or
+/// one positive trace scale. Pass a larger scale for longer, steadier
+/// runs.
+pub fn parse_scale(args: &[OsString]) -> Option<u32> {
+    match args {
+        [] => Some(DEFAULT_SCALE),
+        [s] => s.to_str()?.parse().ok().filter(|&n| n > 0),
+        _ => None,
+    }
+}
+
+/// The trace scale from the command line, or the usage line to print.
+pub fn scale_arg() -> Result<u32, String> {
+    let mut args = std::env::args_os();
+    let bin = args.next().unwrap_or_default();
+    parse_scale(&args.collect::<Vec<_>>()).ok_or_else(|| {
+        format!("usage: {} [scale]  (a positive trace scale)", bin.to_string_lossy())
+    })
 }
 
 /// Functionally filters a trace through the baseline L1 data cache and
@@ -41,22 +58,6 @@ pub fn l1_load_miss_stream(trace: &[DynInst]) -> Vec<(Addr, Addr)> {
     misses
 }
 
-/// A tiny deterministic stand-in for wall-clock-free progress reporting.
-pub fn eta_note(done: usize, total: usize) -> String {
-    format!("[{done}/{total}]")
-}
-
-/// Re-exported so binaries can print a header with the machine summary.
-pub fn machine_banner(scale: u32) -> String {
-    format!(
-        "8-wide OoO, 128 ROB / 64 LSQ; L1D 32K/4w/32B, L2 1M/64B @12cy, \
-         DRAM 120cy; buses 8B & 4B per cycle; trace scale {scale}"
-    )
-}
-
-/// Convenience: the simulated cycle type for benches.
-pub type SimCycle = Cycle;
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -72,8 +73,13 @@ mod tests {
     }
 
     #[test]
-    fn banner_mentions_scale() {
-        assert!(machine_banner(3).contains("scale 3"));
-        assert_eq!(eta_note(2, 5), "[2/5]");
+    fn scale_is_absent_or_one_positive_number() {
+        let args = |a: &[&str]| a.iter().map(OsString::from).collect::<Vec<_>>();
+        assert_eq!(parse_scale(&args(&[])), Some(DEFAULT_SCALE));
+        assert_eq!(parse_scale(&args(&["1"])), Some(1));
+        assert_eq!(parse_scale(&args(&["3"])), Some(3));
+        for bad in [&["abc"][..], &["-1"], &["0"], &[""], &["2", "extra"], &["1.5"]] {
+            assert_eq!(parse_scale(&args(bad)), None, "{bad:?}");
+        }
     }
 }

@@ -162,6 +162,86 @@ pub fn sweep_report_from_texts(entry_texts: &[String]) -> String {
     out
 }
 
+/// One cell read back from a `psb-sweep-v1` artifact: the coordinates
+/// and the aggregate statistics [`sweep_cell_entry`] wrote.
+#[derive(Clone, Debug, PartialEq)]
+pub struct SweepEntry {
+    /// Benchmark name.
+    pub benchmark: String,
+    /// Machine label (see [`SweepCell::label`]).
+    pub config: String,
+    /// Trace scale.
+    pub scale: u32,
+    /// The `aggregate` object.
+    pub aggregate: Json,
+}
+
+impl SweepEntry {
+    /// The number at a dotted path in the aggregate, such as `"ipc"` or
+    /// `"l1d.miss_rate"`. Floats read back exactly as they were written.
+    pub fn num(&self, path: &str) -> Option<f64> {
+        path.split('.').try_fold(&self.aggregate, |j, key| j.get(key))?.as_f64()
+    }
+}
+
+/// Why a text cannot be read as a `psb-sweep-v1` grid, or the grid
+/// cannot render a view (see [`crate::Grid`]).
+#[derive(Clone, Debug, PartialEq, Eq)]
+pub enum GridError {
+    /// The text is not JSON.
+    Json(psb_obs::json::ParseError),
+    /// The document's `schema` is not [`SWEEP_SCHEMA`], or it has no `cells` array.
+    NotASweep,
+    /// This cell lacks this member, or holds it with the wrong type.
+    Cell(usize, &'static str),
+    /// The grid has no cells.
+    Empty,
+    /// This `benchmark/config` cell's trace scale differs from the first cell's.
+    MixedScales(String),
+    /// The grid lacks this `benchmark/config` cell, or the cell lacks this number.
+    Missing(String, &'static str),
+}
+
+impl std::fmt::Display for GridError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            GridError::Json(e) => write!(f, "{e}"),
+            GridError::NotASweep => write!(f, "not a {SWEEP_SCHEMA} document with `cells`"),
+            GridError::Cell(index, field) => write!(f, "cell {index} has no valid `{field}`"),
+            GridError::Empty => f.write_str("the grid has no cells"),
+            GridError::MixedScales(cell) => write!(f, "cell {cell} is at another trace scale"),
+            GridError::Missing(cell, path) => write!(f, "the grid has no {path} for {cell}"),
+        }
+    }
+}
+
+impl std::error::Error for GridError {}
+
+/// Reads a `psb-sweep-v1` artifact back into its cells, in file order:
+/// the one reader of what [`sweep_report`] writes. Fails on text that is
+/// not JSON, carries another schema, or has a cell without its
+/// coordinates or aggregate.
+pub fn read_sweep_report(text: &str) -> Result<Vec<SweepEntry>, GridError> {
+    let doc = psb_obs::json::parse(text).map_err(GridError::Json)?;
+    let cells = doc.get("cells").and_then(Json::as_arr);
+    let cells = match (doc.get("schema").and_then(Json::as_str), cells) {
+        (Some(SWEEP_SCHEMA), Some(cells)) => cells,
+        _ => return Err(GridError::NotASweep),
+    };
+    let read = |(i, cell): (usize, &Json)| {
+        let field = |name| cell.get(name).ok_or(GridError::Cell(i, name));
+        let text = |name| field(name)?.as_str().ok_or(GridError::Cell(i, name)).map(String::from);
+        let scale = field("scale")?.as_u64().and_then(|s| u32::try_from(s).ok());
+        Ok(SweepEntry {
+            benchmark: text("benchmark")?,
+            config: text("config")?,
+            scale: scale.ok_or(GridError::Cell(i, "scale"))?,
+            aggregate: field("aggregate")?.clone(),
+        })
+    };
+    cells.iter().enumerate().map(read).collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -270,5 +350,67 @@ mod tests {
         let back = json::parse(&doc.to_string()).unwrap();
         assert!(matches!(back.get("lifecycle"), Some(Json::Null)));
         assert_eq!(back.get("epochs").and_then(Json::as_arr).map(<[Json]>::len), Some(0));
+    }
+
+    #[test]
+    fn read_sweep_report_gives_back_every_coordinate_and_float_exactly() {
+        use psb_workloads::Benchmark;
+        let geometries = [MachineConfig::baseline().mem.l1d, psb_mem::CacheConfig::l1d_16k_4way()];
+        let cells: Vec<_> = [PrefetcherKind::None, PrefetcherKind::PsbConfPriority]
+            .into_iter()
+            .zip(geometries)
+            .zip([Benchmark::Turb3d, Benchmark::Health])
+            .map(|((kind, l1d), bench)| {
+                let config = MachineConfig::baseline().with_prefetcher(kind).with_l1d(l1d);
+                SweepCell::new(bench, config, 1).with_max_commits(12_000)
+            })
+            .collect();
+        let outcomes = run_sweep(&cells, 2);
+        let entries = read_sweep_report(&sweep_report(&cells, &outcomes).to_string()).unwrap();
+        assert_eq!(entries.len(), cells.len());
+        for ((cell, out), entry) in cells.iter().zip(&outcomes).zip(&entries) {
+            assert_eq!(entry.benchmark, cell.bench.name());
+            assert_eq!(entry.config, cell.label());
+            assert_eq!(entry.scale, cell.scale);
+            // The whole tree compares equal: every counter, every float.
+            assert_eq!(entry.aggregate, aggregate_json(&out.stats));
+            let s = &out.stats;
+            for (path, want) in [
+                ("ipc", s.ipc()),
+                ("avg_load_latency", s.avg_load_latency()),
+                ("bpred_accuracy", s.cpu.bpred.accuracy()),
+                ("l1d.miss_rate", s.l1d_miss_rate()),
+                ("l2.miss_rate", s.lower.l2_miss_rate()),
+                ("prefetch.accuracy", s.prefetch_accuracy()),
+                ("bus.l1_l2_util_pct", s.l1_l2_bus_percent()),
+                ("bus.l2_mem_util_pct", s.l2_mem_bus_percent()),
+            ] {
+                assert_eq!(entry.num(path).map(f64::to_bits), Some(want.to_bits()), "{path}");
+            }
+            assert_eq!(entry.num("committed"), Some(s.cpu.committed as f64));
+            assert_eq!(entry.num("l1d.nope"), None);
+            assert_eq!(entry.num("l1d"), None, "an object is not a number");
+        }
+        assert_eq!(entries[1].config, "ConfAlloc-Priority/16k4");
+    }
+
+    #[test]
+    fn read_sweep_report_rejects_what_is_not_a_sweep() {
+        assert!(matches!(read_sweep_report("{\"schema\":"), Err(GridError::Json(_))));
+        let wrong_schema = r#"{"schema":"psb-run-v1","cells":[]}"#;
+        assert_eq!(read_sweep_report(wrong_schema), Err(GridError::NotASweep));
+        assert_eq!(read_sweep_report(r#"{"schema":"psb-sweep-v1"}"#), Err(GridError::NotASweep));
+        let cells = r#"{"schema":"psb-sweep-v1","cells":{}}"#;
+        assert_eq!(read_sweep_report(cells), Err(GridError::NotASweep));
+        assert_eq!(read_sweep_report(&sweep_report_from_texts(&[])), Ok(Vec::new()));
+        let read = |cell: &str| read_sweep_report(&sweep_report_from_texts(&[cell.to_owned()]));
+        let no_aggregate = r#"{"benchmark":"gs","config":"Base","scale":1}"#;
+        assert_eq!(read(no_aggregate), Err(GridError::Cell(0, "aggregate")));
+        let bad_scale = r#"{"benchmark":"gs","config":"Base","scale":4294967296,"aggregate":{}}"#;
+        assert_eq!(read(bad_scale), Err(GridError::Cell(0, "scale")));
+        let bad_name = r#"{"benchmark":7,"config":"Base","scale":1,"aggregate":{}}"#;
+        assert_eq!(read(bad_name), Err(GridError::Cell(0, "benchmark")));
+        let text = read(no_aggregate).unwrap_err().to_string();
+        assert_eq!(text, "cell 0 has no valid `aggregate`");
     }
 }

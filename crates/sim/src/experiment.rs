@@ -1,6 +1,5 @@
 //! Helpers for running benchmark × configuration matrices.
 
-use crate::sweep::{run_sweep, SweepCell};
 use crate::{MachineConfig, PrefetcherKind, SimStats, Simulation};
 use psb_workloads::Benchmark;
 
@@ -24,24 +23,6 @@ pub fn run_config(bench: Benchmark, config: MachineConfig, scale: u32) -> SimSta
 /// Runs one (benchmark, prefetcher) point on the baseline machine.
 pub fn run_point(bench: Benchmark, kind: PrefetcherKind, scale: u32) -> SimStats {
     run_config(bench, MachineConfig::baseline().with_prefetcher(kind), scale)
-}
-
-/// Runs every paper configuration (Base, PC-stride, four PSB variants)
-/// for one benchmark, in Figure 5 order.
-///
-/// The six cells run in parallel on the [`crate::sweep`] work queue over
-/// one shared trace; results are deterministic and ordered regardless of
-/// worker count.
-pub fn run_paper_row(bench: Benchmark, scale: u32) -> Vec<(PrefetcherKind, SimStats)> {
-    let cells: Vec<SweepCell> = PrefetcherKind::PAPER
-        .into_iter()
-        .map(|k| SweepCell::new(bench, MachineConfig::baseline().with_prefetcher(k), scale))
-        .collect();
-    PrefetcherKind::PAPER
-        .into_iter()
-        .zip(run_sweep(&cells, 0))
-        .map(|(k, out)| (k, out.stats))
-        .collect()
 }
 
 /// Geometric-mean percent speedup across a set of per-benchmark speedups

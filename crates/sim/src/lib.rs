@@ -39,15 +39,15 @@ mod simulator;
 mod stats;
 /// Parallel sweep harness: deterministic grid runs over a worker pool.
 pub mod sweep;
+mod views;
 
 pub use artifact::{
-    json_report, sweep_cell_entry, sweep_report, sweep_report_from_texts, RUN_SCHEMA, SWEEP_SCHEMA,
+    json_report, read_sweep_report, sweep_cell_entry, sweep_report, sweep_report_from_texts,
+    GridError, SweepEntry, RUN_SCHEMA, SWEEP_SCHEMA,
 };
 pub use config::{MachineConfig, ParsePrefetcherError, PrefetcherKind};
 pub use eventlog::{MemEvent, MemEventKind, MemLog, SharedMemLog};
-pub use experiment::{
-    average_speedup_percent, run_config, run_paper_row, run_point, DEFAULT_SCALE,
-};
+pub use experiment::{average_speedup_percent, run_config, run_point, DEFAULT_SCALE};
 pub use journal::{read_journal, run_journaled, JournalError, JournalEvent, JOURNAL_SCHEMA};
 pub use memsys::SimMemory;
 pub use pool::{run_ordered, run_ordered_tracked, PoolPanic};
@@ -59,3 +59,4 @@ pub use sweep::{
     paper_cells, run_sweep, run_sweep_with, shootout_cells, try_run_sweep_tracked,
     try_run_sweep_with, SweepCell, SweepError, SweepOutcome, SweepProgress,
 };
+pub use views::{machine_banner, Grid, View, VIEWS};

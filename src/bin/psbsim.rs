@@ -14,7 +14,7 @@
 //!                                             [default: conf-priority]
 //!   --l1d X          32k4 | 32k2 | 16k4       [default: 32k4]
 //!   --no-dis         disable perfect store-set disambiguation
-//!   --scale N        trace scale              [default: 1]
+//!   --scale N        trace scale, at least 1  [default: 1]
 //!   --max N          commit at most N instructions
 //!   --compare        also run the no-prefetch baseline and report speedup
 //!   --dump FILE      write the generated trace (PSBT format) and exit
@@ -86,7 +86,7 @@ fn main() {
     let mut kind = PrefetcherKind::PsbConfPriority;
     let mut l1d = CacheConfig::l1d_32k_4way();
     let mut dis = Disambiguation::Perfect;
-    let mut scale = 1u32;
+    let mut scale = std::num::NonZeroU32::MIN;
     let mut max = u64::MAX;
     let mut compare = false;
     let mut dump: Option<String> = None;
@@ -195,7 +195,7 @@ fn main() {
     } else {
         let Some(bench) = bench else { usage() };
         eprintln!("generating {bench} trace (scale {scale})...");
-        bench.trace(scale)
+        bench.trace(scale.get())
     };
     if let Some(path) = dump {
         let file = std::fs::File::create(&path).unwrap_or_else(|e| {

@@ -15,7 +15,7 @@
 //!                      (`--prefetchers` is accepted as an alias)
 //!   --l1d LIST         comma-separated geometries: 32k4 | 32k2 | 16k4
 //!                                                   [default: 32k4]
-//!   --scale N          trace scale                   [default: 1]
+//!   --scale N          trace scale, at least 1       [default: 1]
 //!   --max N            commit at most N instructions per cell
 //!   --threads N        worker threads (0 = one per core) [default: 0]
 //!   --csv              emit machine-readable CSV instead of a table
@@ -42,11 +42,11 @@
 //! spliced verbatim — see `psb::sim::journal`).
 
 use psb::mem::CacheConfig;
-use psb::obs::{json, prometheus, Json};
+use psb::obs::prometheus;
 use psb::serve::{Published, Route, Server};
 use psb::sim::{
-    f2, pct, run_journaled, sweep_report_from_texts, try_run_sweep_tracked, MachineConfig,
-    PrefetcherKind, SimStats, SweepCell, SweepTracker, Table,
+    f2, pct, read_sweep_report, run_journaled, sweep_report_from_texts, try_run_sweep_tracked,
+    MachineConfig, PrefetcherKind, SimStats, SweepCell, SweepTracker, Table,
 };
 use psb::workloads::Benchmark;
 
@@ -125,36 +125,6 @@ fn baseline_index(cells: &[SweepCell], cell: &SweepCell) -> Option<usize> {
     })
 }
 
-fn table_row(cell: &SweepCell, stats: &SimStats, speedup: Option<f64>) -> Vec<String> {
-    vec![
-        cell.bench.name().to_owned(),
-        cell.label(),
-        f2(stats.ipc()),
-        f2(stats.l1d_miss_rate()),
-        f2(stats.avg_load_latency()),
-        pct(stats.l1_l2_bus_percent()),
-        pct(stats.prefetch_accuracy() * 100.0),
-        speedup.map_or_else(|| "-".to_owned(), |s| format!("{s:+.1}%")),
-    ]
-}
-
-/// A table row rebuilt from a parsed `psb-sweep-v1` cell entry — the
-/// only source of numbers for a cell replayed from a journal (the
-/// journal stores rendered entries, not raw counters).
-fn table_row_from_entry(cell: &SweepCell, agg: &Json, speedup: Option<f64>) -> Vec<String> {
-    let num = |j: Option<&Json>| j.and_then(Json::as_f64).unwrap_or(0.0);
-    vec![
-        cell.bench.name().to_owned(),
-        cell.label(),
-        f2(num(agg.get("ipc"))),
-        f2(num(agg.get("l1d").and_then(|c| c.get("miss_rate")))),
-        f2(num(agg.get("avg_load_latency"))),
-        pct(num(agg.get("bus").and_then(|b| b.get("l1_l2_util_pct")))),
-        pct(num(agg.get("prefetch").and_then(|p| p.get("accuracy"))) * 100.0),
-        speedup.map_or_else(|| "-".to_owned(), |s| format!("{s:+.1}%")),
-    ]
-}
-
 /// The live `/report` body: a `psb-sweep-v1` document flagged
 /// `"partial":true`, carrying only the cells completed so far in grid
 /// order. The flag flips off (and every cell appears) when the sweep
@@ -212,7 +182,7 @@ fn main() {
     let mut benches = Benchmark::ALL.to_vec();
     let mut kinds = PrefetcherKind::PAPER.to_vec();
     let mut geometries = vec![CacheConfig::l1d_32k_4way()];
-    let mut scale = 1u32;
+    let mut scale = std::num::NonZeroU32::MIN;
     let mut max = u64::MAX;
     let mut threads = 0usize;
     let mut csv = false;
@@ -274,7 +244,7 @@ fn main() {
         for &kind in &kinds {
             for &l1d in &geometries {
                 let config = MachineConfig::baseline().with_prefetcher(kind).with_l1d(l1d);
-                cells.push(SweepCell::new(bench, config, scale).with_max_commits(max));
+                cells.push(SweepCell::new(bench, config, scale.get()).with_max_commits(max));
             }
         }
     }
@@ -403,35 +373,19 @@ fn main() {
         eprintln!("wrote sweep artifact to {path}");
     }
 
-    // Speedups come from IPC alone, so replayed cells (stats gone,
-    // entries intact) compute them from their parsed aggregates.
-    let aggregates: Vec<Json> = entry_texts
-        .iter()
-        .map(|t| {
-            let entry = json::parse(t).expect("invariant: journal entries validated on read");
-            entry.get("aggregate").cloned().unwrap_or(Json::Null)
-        })
-        .collect();
-    let ipc_of = |i: usize| -> f64 {
-        stats_by_cell[i].as_ref().map_or_else(
-            || aggregates[i].get("ipc").and_then(Json::as_f64).unwrap_or(0.0),
-            SimStats::ipc,
-        )
-    };
+    let entries = read_sweep_report(&final_doc).unwrap_or_else(|e| {
+        eprintln!("psbsweep: {e}");
+        std::process::exit(1);
+    });
+    let ipc_of = |i: usize| entries[i].num("ipc").unwrap_or(0.0);
     let speedups: Vec<Option<f64>> = cells
         .iter()
         .enumerate()
         .map(|(i, cell)| {
-            baseline_index(&cells, cell)
-                .filter(|&b| cells[b].config.prefetcher != cell.config.prefetcher)
-                .map(|b| {
-                    let base = ipc_of(b);
-                    if base == 0.0 {
-                        0.0
-                    } else {
-                        (ipc_of(i) / base - 1.0) * 100.0
-                    }
-                })
+            let b = baseline_index(&cells, cell)
+                .filter(|&b| cells[b].config.prefetcher != cell.config.prefetcher)?;
+            let base = ipc_of(b);
+            Some(if base == 0.0 { 0.0 } else { (ipc_of(i) / base - 1.0) * 100.0 })
         })
         .collect();
 
@@ -459,11 +413,20 @@ fn main() {
             .map(|s| s.to_string())
             .collect(),
     );
-    for ((i, cell), speedup) in cells.iter().enumerate().zip(&speedups) {
-        t.row(match &stats_by_cell[i] {
-            Some(stats) => table_row(cell, stats, *speedup),
-            None => table_row_from_entry(cell, &aggregates[i], *speedup),
-        });
+    // Rows render from the cells' psb-sweep-v1 entries, the only numbers
+    // a cell replayed from a journal has.
+    for (entry, speedup) in entries.iter().zip(&speedups) {
+        let num = |path| entry.num(path).unwrap_or(0.0);
+        t.row(vec![
+            entry.benchmark.clone(),
+            entry.config.clone(),
+            f2(num("ipc")),
+            f2(num("l1d.miss_rate")),
+            f2(num("avg_load_latency")),
+            pct(num("bus.l1_l2_util_pct")),
+            pct(num("prefetch.accuracy") * 100.0),
+            speedup.map_or_else(|| "-".to_owned(), |s| format!("{s:+.1}%")),
+        ]);
     }
     print!("{t}");
 

@@ -256,3 +256,23 @@ fn psbsim_rejects_a_victim_cache_it_cannot_build() {
         .expect("psbsim starts");
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
 }
+
+#[test]
+fn psbsim_and_psbsweep_reject_a_zero_scale() {
+    // Every trace generator runs scale 0 as scale 1, so accepting it
+    // recorded `"scale":0` next to scale-1 numbers.
+    let runs = [
+        (env!("CARGO_BIN_EXE_psbsim"), &["--scale", "0", "--max", "1000", "health"][..]),
+        (
+            env!("CARGO_BIN_EXE_psbsweep"),
+            &["--bench", "health", "--prefetchers", "none", "--scale", "0", "--max", "1000"],
+        ),
+    ];
+    for (bin, args) in runs {
+        let out = std::process::Command::new(bin).args(args).output().expect("the CLI starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(2), "{bin}: {stderr}");
+        assert!(stderr.contains("usage:"), "{bin}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} printed a result");
+    }
+}
