@@ -43,6 +43,15 @@ pub trait MemSystem {
     fn sample(&mut self, now: Cycle, committed: u64) {
         let _ = (now, committed);
     }
+
+    /// True if [`MemSystem::tick`] and [`MemSystem::sample`] are no-ops
+    /// until the pipeline's next `load`, `store`, `ifetch` or
+    /// `fetched_load` call. The pipeline then skips the cycles in which
+    /// none of its stages can act. The default says "never", which is
+    /// always sound.
+    fn idle(&self) -> bool {
+        false
+    }
 }
 
 /// A memory system with a fixed load latency and instant fetches — the
@@ -94,6 +103,11 @@ impl MemSystem for FixedLatencyMemory {
     fn ifetch(&mut self, now: Cycle, _pc: Addr) -> Cycle {
         now
     }
+
+    fn idle(&self) -> bool {
+        // `tick` and `sample` are the trait's no-ops.
+        true
+    }
 }
 
 #[cfg(test)]
@@ -108,5 +122,6 @@ mod tests {
         assert_eq!(m.loads(), 1);
         assert_eq!(m.stores(), 1);
         assert_eq!(m.ifetch(Cycle::new(9), Addr::new(0)), Cycle::new(9));
+        assert!(m.idle());
     }
 }

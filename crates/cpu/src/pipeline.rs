@@ -61,25 +61,10 @@ impl CpuStats {
             self.committed as f64 / self.cycles as f64
         }
     }
-
-    /// Fraction of committed instructions that were loads.
-    pub fn load_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.loads as f64 / self.committed as f64
-        }
-    }
-
-    /// Fraction of committed instructions that were stores.
-    pub fn store_fraction(&self) -> f64 {
-        if self.committed == 0 {
-            0.0
-        } else {
-            self.stores as f64 / self.committed as f64
-        }
-    }
 }
+
+/// Cycles without a commit after which the pipeline reports a deadlock.
+const DEADLOCK_CYCLES: u64 = 1_000_000;
 
 #[derive(Clone, Debug)]
 struct RobEntry {
@@ -193,6 +178,10 @@ impl Pipeline {
     /// drained or `max_commits` instructions have committed. Returns the
     /// accumulated statistics.
     ///
+    /// While [`MemSystem::idle`] holds after a cycle, the clock jumps to
+    /// the next cycle in which a stage can act: the cycles in between
+    /// would change nothing, so the results are those of stepping.
+    ///
     /// # Panics
     ///
     /// Panics if the machine deadlocks (no commit for 1,000,000 cycles) —
@@ -225,19 +214,34 @@ impl Pipeline {
             }
 
             assert!(
-                self.now.since(last_commit_cycle) < 1_000_000,
+                self.now.since(last_commit_cycle) < DEADLOCK_CYCLES,
                 "pipeline deadlock at {:?}: rob={}, fq={}, head={:?}",
                 self.now,
                 self.rob.len(),
                 self.fetch_queue.len(),
                 self.rob.front().map(|e| (e.inst, e.finish)),
             );
-            self.now += 1;
+            self.now = if mem.idle() { self.next_event(last_commit_cycle) } else { self.now + 1 };
         }
 
         self.stats.cycles = self.now.raw() + 1;
         self.stats.bpred = self.bpred.stats();
         self.stats
+    }
+
+    /// The next cycle in which a stage can act: the next wakeup, the
+    /// head's commit or fetch's resumption unless an entry is ready or
+    /// dispatch has room, and never past the deadlock check's cycle.
+    fn next_event(&self, last_commit: Cycle) -> Cycle {
+        let (next, limit) = (self.now + 1, last_commit + DEADLOCK_CYCLES);
+        if !self.ready.is_empty() || self.dispatchable() {
+            return next;
+        }
+        let wake = self.waking.peek().map(|&Reverse((at, _))| at);
+        let commit = self.rob.front().and_then(RobEntry::done).map(|done| done + 1);
+        let fetches = !self.trace_done && self.fetch_queue.len() < self.config.fetch_queue_size;
+        let fetch = fetches.then_some(self.fetch_ready);
+        [wake, commit, fetch].into_iter().flatten().fold(limit, Ord::min).max(next)
     }
 
     fn entry(&self, seq: u64) -> Option<&RobEntry> {
@@ -340,22 +344,19 @@ impl Pipeline {
         true
     }
 
+    /// Whether the fetch queue's head fits in the ROB and, for a memory
+    /// op, in the LSQ.
+    fn dispatchable(&self) -> bool {
+        self.fetch_queue.front().is_some_and(|(inst, _)| {
+            self.rob.len() < self.config.rob_size
+                && (!inst.op.is_mem() || self.lsq_count < self.config.lsq_size)
+        })
+    }
+
     fn dispatch(&mut self) {
         let mut dispatched = 0;
-        while dispatched < self.config.dispatch_width {
-            let Some(&(inst, _)) = self.fetch_queue.front() else {
-                break;
-            };
-            if self.rob.len() >= self.config.rob_size {
-                break;
-            }
-            if inst.op.is_mem() && self.lsq_count >= self.config.lsq_size {
-                break;
-            }
-            let (inst, mispredicted) = self
-                .fetch_queue
-                .pop_front()
-                .expect("invariant: the loop guard saw a front element");
+        while dispatched < self.config.dispatch_width && self.dispatchable() {
+            let Some((inst, mispredicted)) = self.fetch_queue.pop_front() else { break };
             let seq = self.next_seq;
             self.next_seq += 1;
             let mut e = RobEntry {
@@ -410,13 +411,10 @@ impl Pipeline {
         I: Iterator<Item = DynInst>,
         M: MemSystem,
     {
-        if self.now < self.fetch_ready {
-            return;
-        }
-
         let mut fetched = 0;
         let mut branches = 0;
-        while fetched < self.config.fetch_width
+        while self.now >= self.fetch_ready
+            && fetched < self.config.fetch_width
             && self.fetch_queue.len() < self.config.fetch_queue_size
         {
             let Some(peeked) = trace.peek() else {
@@ -692,17 +690,6 @@ mod tests {
     }
 
     #[test]
-    fn stats_fractions() {
-        let mut trace = alu_run(0x1000, 10);
-        trace.push(DynInst::load(Addr::new(0x1028), Reg::new(1), None, Addr::new(0x9000), 8));
-        trace.push(DynInst::store(Addr::new(0x102c), None, None, Addr::new(0x9008), 8));
-        let stats = run_trace(trace, 1);
-        assert_eq!(stats.committed, 12);
-        assert!((stats.load_fraction() - 1.0 / 12.0).abs() < 1e-12);
-        assert!((stats.store_fraction() - 1.0 / 12.0).abs() < 1e-12);
-    }
-
-    #[test]
     fn max_commits_stops_early() {
         let stats = run_trace_limited(alu_run(0x1000, 1000), 100);
         assert!(stats.committed >= 100 && stats.committed < 1000);
@@ -722,10 +709,8 @@ mod tests {
 
     #[test]
     fn ratios_are_exact_and_zero_without_a_denominator() {
-        let one = CpuStats { cycles: 1, committed: 1, loads: 1, stores: 1, ..CpuStats::default() };
-        assert_eq!((one.ipc(), one.load_fraction(), one.store_fraction()), (1.0, 1.0, 1.0));
-        let none = CpuStats::default();
-        assert_eq!((none.ipc(), none.load_fraction(), none.store_fraction()), (0.0, 0.0, 0.0));
+        let one = CpuStats { cycles: 1, committed: 1, ..CpuStats::default() };
+        assert_eq!((one.ipc(), CpuStats::default().ipc()), (1.0, 0.0));
     }
 
     /// `n` loads, each dependent on the one before. Under `run_trace` the
@@ -754,15 +739,22 @@ mod tests {
         run_trace(slow_loads(1), 999_998);
     }
 
-    /// A fixed-latency memory that records the cycle each load issues.
+    /// A fixed-latency memory that records the cycle each load issues and
+    /// each cycle it is ticked in. The first fetch from each I-cache block
+    /// misses for `imiss` cycles, and [`MemSystem::idle`] answers `idle`.
+    #[derive(Default)]
     struct LoadClock {
         latency: u64,
+        imiss: u64,
+        idle: bool,
+        blocks: Vec<(u64, Cycle)>,
         issued: Vec<u64>,
+        ticks: Vec<u64>,
     }
 
     impl LoadClock {
         fn run(trace: Vec<DynInst>, latency: u64, config: CpuConfig) -> (CpuStats, Vec<u64>) {
-            let mut mem = LoadClock { latency, issued: Vec::new() };
+            let mut mem = LoadClock { latency, ..LoadClock::default() };
             let stats = Pipeline::new(config).run(trace, &mut mem, u64::MAX);
             (stats, mem.issued)
         }
@@ -776,8 +768,26 @@ mod tests {
 
         fn store(&mut self, _now: Cycle, _pc: Addr, _addr: Addr) {}
 
-        fn ifetch(&mut self, now: Cycle, _pc: Addr) -> Cycle {
-            now
+        fn ifetch(&mut self, now: Cycle, pc: Addr) -> Cycle {
+            let block = pc.raw() / CpuConfig::baseline().icache_block;
+            let ready = match self.blocks.iter().find(|b| b.0 == block) {
+                Some(&(_, ready)) => ready,
+                None => {
+                    self.blocks.push((block, now + self.imiss));
+                    now + self.imiss
+                }
+            };
+            ready.max(now)
+        }
+
+        fn tick(&mut self, now: Cycle) {
+            // A clock that stops would otherwise grow `ticks` forever.
+            assert!(self.ticks.last().is_none_or(|&t| t < now.raw()), "ticked twice at {now:?}");
+            self.ticks.push(now.raw());
+        }
+
+        fn idle(&self) -> bool {
+            self.idle
         }
     }
 
@@ -798,6 +808,17 @@ mod tests {
         let (stats, issued) = LoadClock::run(slow_loads(5), 0, CpuConfig::baseline());
         assert_eq!(issued, [2, 3, 4, 5, 6]);
         assert_eq!(stats.cycles, 5 + 4);
+    }
+
+    #[test]
+    fn a_predicted_taken_branch_ends_the_fetch_group() {
+        // The jump's target is fetched the cycle after the jump, so the
+        // load issues at 3, not 2.
+        let jump = BranchInfo { kind: BranchKind::Jump, taken: true, target: Addr::new(0x2000) };
+        let trace =
+            vec![DynInst::branch(Addr::new(0x1000), None, jump), load(0x400, 1, None, 0x8000)];
+        let (stats, issued) = LoadClock::run(trace, 1, CpuConfig::baseline());
+        assert_eq!((stats.bpred.mispredictions, issued), (0, vec![3]));
     }
 
     #[test]
@@ -835,6 +856,46 @@ mod tests {
         // The load issues at 2 and is visible at 52; the ALU op commits
         // at 54.
         assert_eq!((one.cycles, two.cycles), (55, 55));
+    }
+
+    /// Runs `trace` against an idle and a busy [`LoadClock`] and returns
+    /// the cycles the idle one was ticked in. Both runs must give the
+    /// same stats, and the busy memory must be ticked every cycle.
+    fn idle_ticks(trace: Vec<DynInst>, latency: u64, imiss: u64) -> Vec<u64> {
+        let run = |idle| {
+            let mut mem = LoadClock { latency, imiss, idle, ..LoadClock::default() };
+            let stats = Pipeline::new(CpuConfig::baseline()).run(trace.clone(), &mut mem, u64::MAX);
+            (stats, mem.ticks)
+        };
+        let ((stats, busy), (idle_stats, idle)) = (run(false), run(true));
+        assert_eq!(idle_stats, stats);
+        assert_eq!(busy, (0..stats.cycles).collect::<Vec<_>>());
+        idle
+    }
+
+    #[test]
+    fn an_idle_memory_is_ticked_only_in_cycles_where_a_stage_can_act() {
+        // A dependent load chain: each load issues when its producer's
+        // result is visible, and commits the cycle after its own is.
+        assert_eq!(idle_ticks(slow_loads(3), 20, 0), [0, 1, 2, 22, 23, 42, 43, 63]);
+        // A mispredicted branch on a load: fetch halts at cycle 0 and
+        // resumes two cycles after the branch is done at 23.
+        let taken =
+            BranchInfo { kind: BranchKind::Conditional, taken: true, target: Addr::new(0x2000) };
+        let trace = vec![
+            load(0, 1, None, 0x8000),
+            DynInst::branch(Addr::new(0x1004), Some(Reg::new(1)), taken),
+            DynInst::alu(Addr::new(0x2000), Reg::new(2), None, None),
+        ];
+        assert_eq!(idle_ticks(trace, 20, 0), [0, 1, 2, 22, 23, 24, 25, 26, 27, 29]);
+        // Two I-cache blocks, each missing for 30 cycles: the second miss
+        // starts at 31 and overlaps the first block's execution.
+        assert_eq!(idle_ticks(alu_run(0x1000, 16), 1, 30), [0, 30, 31, 32, 34, 61, 62, 63, 65]);
+        // A full ROB and fetch queue wait for the load at the head, which
+        // commits at 103; from then on every cycle commits.
+        let mut trace = vec![load(0, 1, None, 0x8000)];
+        trace.extend(alu_run(0x1004, 200));
+        assert_eq!(idle_ticks(trace, 100, 0), (0..20).chain(103..129).collect::<Vec<_>>());
     }
 
     #[test]

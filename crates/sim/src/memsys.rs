@@ -110,19 +110,20 @@ pub struct SimMemory {
     /// While true, [`MemSystem::tick`] skips the engine's virtual
     /// dispatch entirely: the engine has promised its tick is a no-op
     /// until the next lookup / training / allocation / fetch
-    /// observation, and every path that could change that (all inside
-    /// [`SimMemory::miss`] and [`MemSystem::fetched_load`]) clears the
-    /// flag. Most pipeline
-    /// cycles perform no memory access, so whole quiescent epochs step
-    /// through a single predicted branch.
+    /// observation. [`SimMemory::miss`] clears the flag, and
+    /// [`MemSystem::fetched_load`] keeps it only if the engine is still
+    /// quiescent after the sighting. While interval sampling is off, the
+    /// flag is also the [`MemSystem::idle`] answer that lets the pipeline
+    /// jump over cycles in which none of its stages can act.
     pf_idle: bool,
-    /// When set, [`Prefetcher::quiescent`] verdicts are ignored and the
-    /// engine is ticked every cycle. The skip-ahead is an optimization
-    /// with an exactness claim; forcing every tick is how the
-    /// differential suites and the mutation-testing kill suite pin that
-    /// claim down. Enabled by [`SimMemory::set_force_tick`] or the
-    /// `PSB_FORCE_TICK` environment switch (any value but `0`), read
-    /// once at construction so the hot path never touches the
+    /// When set, [`Prefetcher::quiescent`] verdicts are ignored: the
+    /// engine is ticked every cycle and the memory system never reports
+    /// itself idle, so the pipeline steps through every cycle too. Both
+    /// skips are optimizations with an exactness claim; forcing every
+    /// tick is how the differential suites and the mutation-testing kill
+    /// suite pin that claim down. Enabled by [`SimMemory::set_force_tick`]
+    /// or the `PSB_FORCE_TICK` environment switch (any value but `0`),
+    /// read once at construction so the hot path never touches the
     /// environment.
     force_tick: bool,
 }
@@ -169,10 +170,11 @@ impl SimMemory {
     }
 
     /// Forces a real prefetcher tick every cycle, defeating the
-    /// quiescence skip-ahead (see the `force_tick` field). Programmatic
-    /// equivalent of the `PSB_FORCE_TICK` environment switch; forcing
-    /// must never change any reported result, and the differential
-    /// suites assert exactly that.
+    /// quiescence skip-ahead and the pipeline's idle-cycle skip (see the
+    /// `force_tick` field). Programmatic equivalent of the
+    /// `PSB_FORCE_TICK` environment switch; forcing must never change
+    /// any reported result, and the differential suites assert exactly
+    /// that.
     pub fn set_force_tick(&mut self, on: bool) {
         self.force_tick = on;
         self.pf_idle = false;
@@ -395,8 +397,13 @@ impl MemSystem for SimMemory {
     }
 
     fn fetched_load(&mut self, now: Cycle, pc: Addr) {
-        self.pf_idle = false;
         self.prefetcher.observe_fetch(now, pc);
+        // Only an engine that queued work on the sighting needs its tick.
+        self.pf_idle = self.pf_idle && self.prefetcher.quiescent();
+    }
+
+    fn idle(&self) -> bool {
+        self.pf_idle && self.sample_every == 0
     }
 }
 
@@ -489,6 +496,42 @@ mod tests {
         let r2 = m.ifetch(r, Addr::new(0x40_0000));
         assert_eq!(r2, r, "warm I-fetch is free");
         assert!(m.lower().l1_l2_bus().transactions() >= 1);
+    }
+
+    #[test]
+    fn a_fetch_sighting_wakes_only_an_engine_it_gives_work() {
+        for (kind, wakes) in [(PrefetcherKind::None, false), (PrefetcherKind::FetchDirected, true)]
+        {
+            let mut m = memsys(kind);
+            m.set_force_tick(false);
+            let pc = Addr::new(0x400);
+            // Misses at a steady stride train fetch-directed's table.
+            for i in 0..5u64 {
+                m.load(Cycle::new(1000 * i), pc, Addr::new(0x1000_0000 + 64 * i));
+            }
+            m.tick(Cycle::new(5000));
+            assert!(m.idle(), "{kind:?}: training queues nothing");
+            m.fetched_load(Cycle::new(5001), pc);
+            assert_eq!(m.idle(), !wakes, "{kind:?}");
+        }
+    }
+
+    #[test]
+    fn interval_sampling_and_forced_ticks_keep_the_memory_busy() {
+        let mut m = memsys(PrefetcherKind::None);
+        m.set_force_tick(false);
+        m.tick(Cycle::ZERO);
+        assert!(m.idle(), "the null engine is always quiescent");
+        m.set_force_tick(true);
+        m.tick(Cycle::new(1));
+        assert!(!m.idle(), "forced ticks never go idle");
+        let mut m = memsys(PrefetcherKind::None);
+        m.set_force_tick(false);
+        let obs = Obs::new();
+        obs.enable_interval(100);
+        m.attach_obs(&obs);
+        m.tick(Cycle::ZERO);
+        assert!(!m.idle(), "a due sample is real work");
     }
 
     #[test]

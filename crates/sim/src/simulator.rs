@@ -56,9 +56,10 @@ impl Simulation {
         }
     }
 
-    /// Defeats the quiescence skip-ahead: the prefetcher is ticked every
-    /// single cycle (see [`SimMemory::set_force_tick`]). The skip is an
-    /// exactness-preserving optimization, so forcing ticks must never
+    /// Defeats both skips: the prefetcher is ticked every single cycle,
+    /// and the pipeline steps through every cycle instead of jumping over
+    /// idle ones (see [`SimMemory::set_force_tick`]). Both skips are
+    /// exactness-preserving optimizations, so forcing ticks must never
     /// change a report — the differential suites and the mutation kill
     /// suite run under this switch (or the equivalent `PSB_FORCE_TICK`
     /// environment variable) so quiescence bugs cannot hide behind

@@ -7,7 +7,10 @@
 //! runs the no-prefetch baseline, PC-stride and a PSB engine on the
 //! strided turb3d, plus the PSB engine on the pointer-chasing burg, at
 //! scale 1 against `results/shootout.json` and at scale 2 against
-//! `results/shootout_scale2.json`. A deliberate change to the simulated
+//! `results/shootout_scale2.json`. At scale 1 it also runs sis, which
+//! waits on memory for most of its cycles and so exercises the
+//! pipeline's idle-cycle skip most, under no prefetching and under
+//! demand-Markov. A deliberate change to the simulated
 //! numbers re-runs the commands in EXPERIMENTS.md, commits their output
 //! and says why.
 
@@ -44,6 +47,8 @@ fn shootout_cells_reproduce_the_committed_results() {
         cell(Benchmark::Turb3d, PrefetcherKind::PcStride, 1),
         cell(Benchmark::Turb3d, PrefetcherKind::PsbConfPriority, 1),
         cell(Benchmark::Burg, PrefetcherKind::PsbConfPriority, 1),
+        cell(Benchmark::Sis, PrefetcherKind::None, 1),
+        cell(Benchmark::Sis, PrefetcherKind::DemandMarkov, 1),
     ];
     assert_cells_in(SHOOTOUT, "results/shootout.json", &cells);
 }
