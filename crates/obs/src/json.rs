@@ -21,7 +21,7 @@
 //! assert_eq!(back.get("name").and_then(Json::as_str), Some("health"));
 //! ```
 
-use std::fmt;
+use std::fmt::{self, Write};
 
 /// A JSON value.
 ///
@@ -132,61 +132,91 @@ impl Json {
     }
 }
 
-/// Writes `s` as a JSON string literal with full escaping.
-fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
-    f.write_str("\"")?;
-    for c in s.chars() {
-        match c {
-            '"' => f.write_str("\\\"")?,
-            '\\' => f.write_str("\\\\")?,
-            '\n' => f.write_str("\\n")?,
-            '\r' => f.write_str("\\r")?,
-            '\t' => f.write_str("\\t")?,
-            '\u{8}' => f.write_str("\\b")?,
-            '\u{c}' => f.write_str("\\f")?,
-            c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
-            c => write!(f, "{c}")?,
-        }
-    }
-    f.write_str("\"")
-}
-
-impl fmt::Display for Json {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+impl Json {
+    /// Appends this value's JSON text to `out`.
+    fn write(&self, out: &mut String) {
         match self {
-            Json::Null => f.write_str("null"),
-            Json::Bool(b) => write!(f, "{b}"),
-            Json::U64(v) => write!(f, "{v}"),
-            Json::I64(v) => write!(f, "{v}"),
-            Json::F64(v) if !v.is_finite() => f.write_str("null"),
+            Json::Null => out.push_str("null"),
+            Json::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
+            Json::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::I64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::F64(v) if !v.is_finite() => out.push_str("null"),
             // Integral floats print a trailing ".0" so they stay floats
             // on re-parse; everything else uses shortest-round-trip.
-            Json::F64(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(f, "{v:.1}"),
-            Json::F64(v) => write!(f, "{v}"),
-            Json::Str(s) => write_escaped(f, s),
+            Json::F64(v) if v.fract() == 0.0 && v.abs() < 1e15 => {
+                let _ = write!(out, "{v:.1}");
+            }
+            Json::F64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::Str(s) => write_escaped(out, s),
             Json::Arr(items) => {
-                f.write_str("[")?;
+                out.push('[');
                 for (i, item) in items.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write!(f, "{item}")?;
+                    item.write(out);
                 }
-                f.write_str("]")
+                out.push(']');
             }
             Json::Obj(pairs) => {
-                f.write_str("{")?;
+                out.push('{');
                 for (i, (k, v)) in pairs.iter().enumerate() {
                     if i > 0 {
-                        f.write_str(",")?;
+                        out.push(',');
                     }
-                    write_escaped(f, k)?;
-                    f.write_str(":")?;
-                    write!(f, "{v}")?;
+                    write_escaped(out, k);
+                    out.push(':');
+                    v.write(out);
                 }
-                f.write_str("}")
+                out.push('}');
             }
         }
+    }
+}
+
+/// Appends `s` as a JSON string literal with full escaping. Runs of
+/// bytes that need no escape are copied whole; every byte that does is
+/// ASCII, so each run ends on a character boundary.
+fn write_escaped(out: &mut String, s: &str) {
+    out.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escape = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\r' => "\\r",
+            b'\t' => "\\t",
+            0x08 => "\\b",
+            0x0c => "\\f",
+            // Any other control byte, written as `\u00XX` below.
+            0x00..=0x1f => "",
+            _ => continue,
+        };
+        out.push_str(&s[run..i]);
+        if escape.is_empty() {
+            let _ = write!(out, "\\u{b:04x}");
+        } else {
+            out.push_str(escape);
+        }
+        run = i + 1;
+    }
+    out.push_str(&s[run..]);
+    out.push('"');
+}
+
+/// Renders through [`Json`]'s one writer into a `String`.
+impl fmt::Display for Json {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let mut out = String::new();
+        self.write(&mut out);
+        f.write_str(&out)
     }
 }
 
@@ -451,6 +481,163 @@ impl<'a> Parser<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use psb_common::SplitMix64;
+    use reference::Reference;
+
+    /// The formatter-based serializer the writer replaced, kept verbatim
+    /// but for recursing into itself: the writer must match its bytes.
+    mod reference {
+        use super::Json;
+        use std::fmt;
+
+        pub struct Reference<'a>(pub &'a Json);
+
+        /// Writes `s` as a JSON string literal with full escaping.
+        fn write_escaped(f: &mut fmt::Formatter<'_>, s: &str) -> fmt::Result {
+            f.write_str("\"")?;
+            for c in s.chars() {
+                match c {
+                    '"' => f.write_str("\\\"")?,
+                    '\\' => f.write_str("\\\\")?,
+                    '\n' => f.write_str("\\n")?,
+                    '\r' => f.write_str("\\r")?,
+                    '\t' => f.write_str("\\t")?,
+                    '\u{8}' => f.write_str("\\b")?,
+                    '\u{c}' => f.write_str("\\f")?,
+                    c if (c as u32) < 0x20 => write!(f, "\\u{:04x}", c as u32)?,
+                    c => write!(f, "{c}")?,
+                }
+            }
+            f.write_str("\"")
+        }
+
+        impl fmt::Display for Reference<'_> {
+            fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+                match self.0 {
+                    Json::Null => f.write_str("null"),
+                    Json::Bool(b) => write!(f, "{b}"),
+                    Json::U64(v) => write!(f, "{v}"),
+                    Json::I64(v) => write!(f, "{v}"),
+                    Json::F64(v) if !v.is_finite() => f.write_str("null"),
+                    // Integral floats print a trailing ".0" so they stay floats
+                    // on re-parse; everything else uses shortest-round-trip.
+                    Json::F64(v) if v.fract() == 0.0 && v.abs() < 1e15 => write!(f, "{v:.1}"),
+                    Json::F64(v) => write!(f, "{v}"),
+                    Json::Str(s) => write_escaped(f, s),
+                    Json::Arr(items) => {
+                        f.write_str("[")?;
+                        for (i, item) in items.iter().enumerate() {
+                            if i > 0 {
+                                f.write_str(",")?;
+                            }
+                            write!(f, "{}", Reference(item))?;
+                        }
+                        f.write_str("]")
+                    }
+                    Json::Obj(pairs) => {
+                        f.write_str("{")?;
+                        for (i, (k, v)) in pairs.iter().enumerate() {
+                            if i > 0 {
+                                f.write_str(",")?;
+                            }
+                            write_escaped(f, k)?;
+                            f.write_str(":")?;
+                            write!(f, "{}", Reference(v))?;
+                        }
+                        f.write_str("}")
+                    }
+                }
+            }
+        }
+    }
+
+    fn pick<T: Clone>(rng: &mut SplitMix64, items: &[T]) -> T {
+        items[rng.below(items.len() as u64) as usize].clone()
+    }
+
+    /// A short string mixing control bytes, `"`, `\\`, DEL, multi-byte
+    /// UTF-8 and plain ASCII.
+    fn random_string(rng: &mut SplitMix64) -> String {
+        (0..rng.below(10))
+            .map(|_| match rng.below(6) {
+                0 => char::from(rng.below(0x20) as u8),
+                1 => pick(rng, &['"', '\\', '\u{7f}']),
+                2 => pick(rng, &['\u{e9}', '\u{20ac}', '\u{2028}', '\u{1f600}', '\u{10ffff}']),
+                _ => char::from(rng.range(0x20, 0x7f) as u8),
+            })
+            .collect()
+    }
+
+    fn random_number(rng: &mut SplitMix64) -> Json {
+        let below_1e15 = f64::from_bits(1e15f64.to_bits() - 1);
+        let r = rng.next_u64();
+        match rng.below(3) {
+            0 => Json::U64(pick(rng, &[0, 1, u64::MAX, r])),
+            1 => Json::I64(pick(rng, &[i64::MIN, -1, i64::MAX, r as i64])),
+            _ => Json::F64(pick(
+                rng,
+                &[
+                    0.0,
+                    -0.0,
+                    1e15 - 1.0,
+                    -(1e15 - 1.0),
+                    1e15,
+                    -1e15,
+                    below_1e15,
+                    f64::NAN,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    (r >> 11) as f64,
+                    f64::from_bits(r),
+                ],
+            )),
+        }
+    }
+
+    fn random_tree(rng: &mut SplitMix64, depth: u32) -> Json {
+        let kinds = if depth == 0 { 3 } else { 5 };
+        match rng.below(kinds) {
+            0 => pick(rng, &[Json::Null, Json::Bool(false), Json::Bool(true)]),
+            1 => random_number(rng),
+            2 => Json::Str(random_string(rng)),
+            3 => Json::Arr((0..rng.below(5)).map(|_| random_tree(rng, depth - 1)).collect()),
+            _ => Json::Obj(
+                (0..rng.below(5))
+                    .map(|_| (random_string(rng), random_tree(rng, depth - 1)))
+                    .collect(),
+            ),
+        }
+    }
+
+    #[test]
+    fn writer_matches_the_formatter_reference_model() {
+        let every_control: String = (0u8..0x20).map(char::from).collect();
+        let edges = Json::obj([
+            (every_control.clone(), Json::str(every_control)),
+            ("\"\\\u{7f}\u{e9}\u{1f600}".to_string(), Json::str("\"\\\u{7f}\u{e9}\u{1f600}")),
+            ("empty".to_string(), Json::arr([Json::arr([]), Json::obj::<String>([])])),
+            (
+                "numbers".to_string(),
+                Json::arr([
+                    Json::u64(u64::MAX),
+                    Json::i64(i64::MIN),
+                    Json::f64(0.0),
+                    Json::f64(-0.0),
+                    Json::f64(1e15 - 1.0),
+                    Json::f64(1e15),
+                    Json::f64(f64::NAN),
+                    Json::f64(f64::INFINITY),
+                    Json::f64(f64::NEG_INFINITY),
+                ]),
+            ),
+        ]);
+        assert_eq!(edges.to_string(), Reference(&edges).to_string());
+        let mut rng = SplitMix64::new(0x5eed);
+        for i in 0..10_000 {
+            let tree = random_tree(&mut rng, 4);
+            assert_eq!(tree.to_string(), Reference(&tree).to_string(), "tree {i}");
+        }
+    }
 
     #[test]
     fn escaping_round_trips() {

@@ -250,8 +250,8 @@ impl Obs {
 }
 
 /// The hub subscribes to the prefetch event stream: lifecycle events
-/// feed the counters, and with tracing on they also become Chrome-trace
-/// records on one track per stream buffer.
+/// feed the counters, and with tracing on the trace sink keeps them to
+/// render as Chrome-trace records, one track per stream buffer.
 impl StreamObs for Obs {
     fn emit(&self, event: &Event) {
         let mut core = self.inner.borrow_mut();
@@ -276,7 +276,7 @@ impl StreamObs for Obs {
             _ => {}
         }
         if let Some(t) = core.trace.as_mut() {
-            trace_event(t, event);
+            t.record(event);
         }
     }
 
@@ -295,60 +295,6 @@ impl StreamObs for Obs {
 
     fn counter(&self, name: &str) -> Counter {
         Obs::counter(self, name)
-    }
-}
-
-/// Writes the Chrome-trace record of `event`: an `X` span per prefetch
-/// in flight, instants for the other lifecycle steps, a counter track
-/// for occupancy and a named track per stream buffer.
-fn trace_event(t: &mut TraceSink, event: &Event) {
-    match *event {
-        Event::Buffer { buffer } => {
-            t.thread_name(buffer as u64, &format!("stream-buffer-{buffer}"));
-        }
-        Event::Allocated { cycle, buffer, pc, confidence, displaced } => t.instant(
-            "alloc",
-            "stream",
-            buffer as u64,
-            cycle.raw(),
-            &[("pc", pc.raw()), ("confidence", confidence), ("displaced", displaced)],
-        ),
-        Event::Evicted { cycle, buffer, block } => {
-            let args = [("block", block.raw())];
-            t.instant("evicted-unused", "prefetch", buffer as u64, cycle.raw(), &args);
-        }
-        Event::Predicted { cycle, buffer, block } => {
-            t.instant(
-                "predicted",
-                "prefetch",
-                buffer as u64,
-                cycle.raw(),
-                &[("block", block.raw())],
-            );
-        }
-        Event::Issued { cycle, buffer, block, ready } => t.complete(
-            "prefetch",
-            "prefetch",
-            buffer as u64,
-            cycle.raw(),
-            ready.raw().saturating_sub(cycle.raw()),
-            &[("block", block.raw())],
-        ),
-        Event::Used { cycle, buffer, block, late_by } => {
-            let args = [("block", block.raw()), ("late_by", late_by)];
-            t.instant("used", "demand", buffer as u64, cycle.raw(), &args);
-        }
-        Event::Raced { cycle, buffer, block } => {
-            let args = [("block", block.raw())];
-            t.instant("demand-raced", "demand", buffer as u64, cycle.raw(), &args);
-        }
-        Event::Occupancy { cycle, buffer, ready, in_flight, priority } => t.counter(
-            "occupancy",
-            buffer as u64,
-            cycle.raw(),
-            &[("ready", ready), ("in_flight", in_flight), ("priority", priority)],
-        ),
-        Event::Filled { .. } | Event::Access(_) => {}
     }
 }
 

@@ -168,7 +168,9 @@ pub fn write_trace(mut w: impl Write, trace: &[DynInst]) -> io::Result<()> {
 /// # Errors
 ///
 /// Returns `InvalidData` on a malformed stream (bad magic, version,
-/// opcode or truncation) and propagates reader I/O errors.
+/// opcode or truncation) or a memory op whose size is not 1, 2, 4 or 8
+/// bytes or whose byte range wraps past `u64::MAX`, naming the
+/// instruction's index. Propagates reader I/O errors.
 pub fn read_trace(mut r: impl Read) -> io::Result<Vec<DynInst>> {
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
@@ -184,7 +186,7 @@ pub fn read_trace(mut r: impl Read) -> io::Result<Vec<DynInst>> {
     let mut out = Vec::with_capacity(count.min(1 << 24));
     let mut prev_pc = Addr::new(0);
     let mut prev_mem = Addr::new(0);
-    for _ in 0..count {
+    for index in 0..count {
         let mut head = [0u8];
         r.read_exact(&mut head)?;
         let op = op_from(head[0] & 0x0f)?;
@@ -209,7 +211,18 @@ pub fn read_trace(mut r: impl Read) -> io::Result<Vec<DynInst>> {
             prev_mem = addr;
             let mut size = [0u8];
             r.read_exact(&mut size)?;
-            (Some(addr), size[0])
+            let size = size[0];
+            if !matches!(size, 1 | 2 | 4 | 8) {
+                return Err(bad(format!(
+                    "instruction {index}: memory size {size} is not 1, 2, 4 or 8"
+                )));
+            }
+            if addr.raw().checked_add(u64::from(size) - 1).is_none() {
+                return Err(bad(format!(
+                    "instruction {index}: {size}-byte access at {addr} wraps past the address space"
+                )));
+            }
+            (Some(addr), size)
         } else {
             (None, 0)
         };
@@ -277,6 +290,45 @@ mod tests {
         write_trace(&mut buf, &trace[..100]).unwrap();
         buf.truncate(buf.len() - 3);
         assert!(read_trace(&buf[..]).is_err());
+    }
+
+    fn load(addr: u64) -> DynInst {
+        DynInst::load(Addr::new(0x400), Reg::new(1), None, Addr::new(addr), 8)
+    }
+
+    fn encode(trace: &[DynInst]) -> Vec<u8> {
+        let mut buf = Vec::new();
+        write_trace(&mut buf, trace).unwrap();
+        buf
+    }
+
+    #[test]
+    fn rejects_a_memory_size_other_than_1_2_4_or_8() {
+        // A trace that ends in a load ends in that load's size byte.
+        let mut buf = encode(&[load(0x1000), load(0x1008)]);
+        for size in [1u8, 2, 4, 8] {
+            *buf.last_mut().unwrap() = size;
+            assert_eq!(read_trace(&buf[..]).unwrap()[1].mem_size, size);
+        }
+        for size in [0u8, 3, 16, 255] {
+            *buf.last_mut().unwrap() = size;
+            let err = read_trace(&buf[..]).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            let msg = err.to_string();
+            assert!(
+                msg.contains("instruction 1") && msg.contains(&format!("size {size}")),
+                "{msg}"
+            );
+        }
+    }
+
+    #[test]
+    fn rejects_an_access_that_wraps_past_the_address_space() {
+        assert!(read_trace(&encode(&[load(u64::MAX - 7)])[..]).is_ok(), "last byte is u64::MAX");
+        let err = read_trace(&encode(&[load(0x40), load(u64::MAX - 6)])[..]).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        let msg = err.to_string();
+        assert!(msg.contains("instruction 1") && msg.contains("wraps"), "{msg}");
     }
 
     #[test]

@@ -276,3 +276,31 @@ fn psbsim_and_psbsweep_reject_a_zero_scale() {
         assert!(out.stdout.is_empty(), "{bin} printed a result");
     }
 }
+
+#[test]
+fn psbsim_load_rejects_a_bad_memory_op() {
+    // A zero size byte and a range past u64::MAX used to decode and
+    // simulate; both now fail the load, naming the instruction.
+    use psb::common::Addr;
+    use psb::cpu::{DynInst, Reg};
+    let load =
+        |addr, size| DynInst::load(Addr::new(0x400), Reg::new(1), None, Addr::new(addr), size);
+    for (name, trace, msg) in [
+        ("size", [load(0x1000, 8), load(0x1008, 0)], "instruction 1: memory size 0"),
+        ("wrap", [load(0x1000, 8), load(u64::MAX - 3, 8)], "instruction 1: 8-byte access"),
+    ] {
+        let path = std::env::temp_dir().join(format!("psb-{name}-{}.psbt", std::process::id()));
+        let mut buf = Vec::new();
+        psb::workloads::write_trace(&mut buf, &trace).expect("writes to a Vec");
+        std::fs::write(&path, buf).expect("temp file is writable");
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_psbsim"))
+            .arg("--load")
+            .arg(&path)
+            .output()
+            .expect("psbsim starts");
+        std::fs::remove_file(&path).ok();
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
+        assert!(stderr.contains(msg), "{name}: {stderr}");
+    }
+}

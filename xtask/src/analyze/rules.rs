@@ -16,7 +16,9 @@
 //!   artifact, which has to be byte-identical across `--threads` counts.
 //! * `sync-shims` — a `std::thread` path, or a `std::sync` path naming a
 //!   primitive the `psb_model` shims replace, in a model-checked crate,
-//!   grouped imports (`use std::{sync::Mutex, thread}`) included.
+//!   grouped imports (`use std::{sync::Mutex, thread}`) included. An
+//!   import of `std::sync` itself or a glob over it fires too, since a
+//!   later `sync::Mutex` or bare `Mutex` no longer starts at `std`.
 //!   Concurrency there goes through the shims so `cargo xtask model`
 //!   explores the code production runs.
 //! * `missing-docs` — a `pub` item with neither a doc comment nor a
@@ -85,7 +87,7 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
                 leaf_paths(tree, i + 2, Vec::new(), &mut paths);
                 for (segs, tok) in paths {
                     let raw = match segs.as_slice() {
-                        ["thread", ..] => true,
+                        ["thread", ..] | ["sync"] | ["sync", "self"] => true,
                         ["sync", rest @ ..] => {
                             rest.iter().any(|s| SHIMMED_SYNC.iter().any(|p| s.contains(p)))
                         }
@@ -286,6 +288,20 @@ mod tests {
             ("crates/workloads/src/c.rs", "use std::sync::{Arc, OnceLock};\n", &[":sync-shims"]),
             ("crates/serve/src/x.rs", "fn f() { std::thread::spawn(|| {}); }\n", &["f:sync-shims"]),
         ]);
+    }
+
+    /// A glob or module import hides the primitive's name from the
+    /// path rooted at `std`, so the import itself is the site.
+    #[test]
+    fn sync_shims_fires_on_glob_and_module_imports() {
+        let module = "use std::sync;\nfn f(m: &sync::Mutex<u8>) {}\n";
+        expect(&[
+            ("crates/sim/src/pool.rs", "use std::sync::*;\n", &[":sync-shims"]),
+            ("crates/serve/src/x.rs", module, &[":sync-shims"]),
+            ("crates/workloads/src/c.rs", "use std::sync::{self, Arc};\n", &[":sync-shims"]),
+        ]);
+        let got = found("crates/sim/src/pool.rs", "use std::{\n    sync,\n    thread,\n};\n");
+        assert_eq!(got, [("rules:crates/sim/src/pool.rs::sync-shims".to_string(), vec![2, 3])]);
     }
 
     /// A grouped import rooted at `std` names both modules only inside
