@@ -20,7 +20,7 @@
 //! DRAM bandwidth utilization; this single-core model has no bandwidth
 //! signal, so selection is by the quality counters alone (prefer the
 //! coverage pattern while it stays accurate enough) — noted in
-//! DESIGN.md §17.
+//! DESIGN.md §16.
 //!
 //! Two structures implement it: a small **page buffer** accumulating the
 //! access pattern of each live region (with the trigger PC and offset),

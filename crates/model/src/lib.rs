@@ -61,5 +61,5 @@ pub mod keyed;
 pub mod sched;
 /// `std::sync` shims: `Mutex`, `OnceLock`, atomics, mpsc channels.
 pub mod sync;
-/// `std::thread` shims: spawn/join, scoped threads, parallelism probe.
+/// `std::thread` shims: scoped threads and the parallelism probe.
 pub mod thread;

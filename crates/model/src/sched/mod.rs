@@ -34,7 +34,7 @@
 
 /// Modeled `Mutex`/`OnceLock`/atomics/mpsc implementations.
 pub mod sync_impl;
-/// Modeled spawn/join and scoped threads.
+/// Modeled scoped threads.
 pub mod thread_impl;
 
 use std::any::Any;

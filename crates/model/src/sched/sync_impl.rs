@@ -305,37 +305,6 @@ impl AtomicUsize {
     }
 }
 
-/// Modeled `AtomicBool`; see [`AtomicUsize`] for the ordering caveat.
-#[derive(Debug, Default)]
-pub struct AtomicBool {
-    inner: std::sync::atomic::AtomicBool,
-}
-
-impl AtomicBool {
-    /// Creates a new atomic holding `v`.
-    pub const fn new(v: bool) -> AtomicBool {
-        AtomicBool { inner: std::sync::atomic::AtomicBool::new(v) }
-    }
-
-    /// Loads the value (scheduling point).
-    pub fn load(&self, _order: std::sync::atomic::Ordering) -> bool {
-        point();
-        self.inner.load(std::sync::atomic::Ordering::SeqCst)
-    }
-
-    /// Stores `v` (scheduling point).
-    pub fn store(&self, v: bool, _order: std::sync::atomic::Ordering) {
-        point();
-        self.inner.store(v, std::sync::atomic::Ordering::SeqCst);
-    }
-
-    /// Swaps in `v`, returning the previous value (scheduling point).
-    pub fn swap(&self, v: bool, _order: std::sync::atomic::Ordering) -> bool {
-        point();
-        self.inner.swap(v, std::sync::atomic::Ordering::SeqCst)
-    }
-}
-
 // ---------------------------------------------------------------------
 // mpsc channel
 // ---------------------------------------------------------------------

@@ -1,5 +1,5 @@
-//! Modeled threads (`--cfg psb_model` builds only): spawn, join and
-//! scoped spawn, mirroring the `std::thread` subset the workspace uses.
+//! Modeled threads (`--cfg psb_model` builds only): scoped spawn and
+//! join, mirroring the `std::thread` subset the workspace uses.
 //!
 //! Model threads are real OS threads under the controller's baton.
 //! Spawning registers the child as runnable and is itself a scheduling
@@ -43,48 +43,6 @@ fn take_result<T>(tid: usize, cell: &OsMutex<Option<T>>) -> std::thread::Result<
         // the execution tears down.
         None => Err(Box::new(format!("model thread {tid} panicked")) as Box<dyn Any + Send>),
     }
-}
-
-/// Handle to a detached model thread, analogous to
-/// `std::thread::JoinHandle`.
-pub struct JoinHandle<T> {
-    tid: usize,
-    cell: Arc<OsMutex<Option<T>>>,
-}
-
-impl<T> JoinHandle<T> {
-    /// Waits (in model time) for the thread to finish and returns its
-    /// result.
-    pub fn join(self) -> std::thread::Result<T> {
-        model_join(self.tid);
-        take_result(self.tid, &self.cell)
-    }
-}
-
-/// Spawns a detached model thread, analogous to `std::thread::spawn`.
-pub fn spawn<F, T>(f: F) -> JoinHandle<T>
-where
-    F: FnOnce() -> T + Send + 'static,
-    T: Send + 'static,
-{
-    let ctx = current_ctx();
-    let tid = ctx.ctl.register_thread();
-    let cell: Arc<OsMutex<Option<T>>> = Arc::new(OsMutex::new(None));
-    let out = cell.clone();
-    let ctl = ctx.ctl.clone();
-    let h = std::thread::Builder::new()
-        .name(format!("psb-model-{tid}"))
-        .spawn(move || {
-            run_model_thread(ctl, tid, move || {
-                let v = f();
-                *out.lock().unwrap_or_else(PoisonError::into_inner) = Some(v);
-            })
-        })
-        .expect("spawning a model thread");
-    ctx.ctl.set_os_handle(tid, h);
-    // The child is runnable from here on: let the scheduler consider it.
-    ctx.ctl.sched_point(ctx.tid);
-    JoinHandle { tid, cell }
 }
 
 /// Scope for spawning threads that borrow from the caller's frame,

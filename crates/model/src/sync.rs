@@ -7,7 +7,7 @@
 //!
 //! * [`Mutex`] / [`MutexGuard`] (poisoning included)
 //! * [`OnceLock`]
-//! * [`atomic`] — `AtomicBool`, `AtomicUsize`, `Ordering`
+//! * [`atomic`] — `AtomicUsize`, `Ordering`
 //! * [`mpsc`] — `channel`, `Sender`, `Receiver` and their error types
 //!
 //! `Arc` is deliberately **not** shimmed: reference counting is not a
@@ -24,10 +24,10 @@ pub use crate::sched::sync_impl::{Mutex, MutexGuard, OnceLock};
 /// Atomic types routed through the model scheduler under `psb_model`.
 pub mod atomic {
     #[cfg(not(psb_model))]
-    pub use std::sync::atomic::{AtomicBool, AtomicUsize};
+    pub use std::sync::atomic::AtomicUsize;
 
     #[cfg(psb_model)]
-    pub use crate::sched::sync_impl::{AtomicBool, AtomicUsize};
+    pub use crate::sched::sync_impl::AtomicUsize;
 
     // Orderings are accepted and recorded but the model executes every
     // atomic access sequentially-consistently: the checker explores

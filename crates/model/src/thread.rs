@@ -1,4 +1,4 @@
-//! Thread spawn/join/scope: `std::thread` re-exports in normal builds,
+//! Scoped threads: `std::thread` re-exports in normal builds,
 //! scheduler-controlled threads under `--cfg psb_model`.
 //!
 //! Modeled threads are real OS threads, but only one runs at a time:
@@ -8,9 +8,7 @@
 //! ahead" interleavings.
 
 #[cfg(not(psb_model))]
-pub use std::thread::{available_parallelism, scope, spawn, JoinHandle, Scope, ScopedJoinHandle};
+pub use std::thread::{available_parallelism, scope, Scope, ScopedJoinHandle};
 
 #[cfg(psb_model)]
-pub use crate::sched::thread_impl::{
-    available_parallelism, scope, spawn, JoinHandle, Scope, ScopedJoinHandle,
-};
+pub use crate::sched::thread_impl::{available_parallelism, scope, Scope, ScopedJoinHandle};

@@ -138,16 +138,6 @@ impl IntervalSampler {
         &self.epochs
     }
 
-    /// Copies the closed epochs into an owned, `Send`-able vector.
-    ///
-    /// [`IntervalSampler::epochs`] borrows the live series, which only
-    /// the simulation thread may hold; a serving thread gets this
-    /// detached copy instead, taken between [`IntervalSampler::record`]
-    /// calls, so it can never observe a row mid-write.
-    pub fn snapshot(&self) -> Vec<Epoch> {
-        self.epochs.clone()
-    }
-
     /// Serializes the series as an array of epoch objects.
     pub fn to_json(&self) -> Json {
         Json::arr(self.epochs.iter().map(Epoch::to_json))
@@ -233,16 +223,5 @@ mod tests {
     #[should_panic(expected = "epoch length")]
     fn zero_epoch_length_rejected() {
         let _ = IntervalSampler::new(0);
-    }
-
-    #[test]
-    fn snapshot_detaches_from_later_records() {
-        let mut s = IntervalSampler::new(10);
-        s.record(sample(10, 5));
-        let snap = s.snapshot();
-        s.record(sample(20, 15));
-        assert_eq!(snap.len(), 1);
-        assert_eq!(s.epochs().len(), 2);
-        assert_eq!(snap[0], s.epochs()[0]);
     }
 }

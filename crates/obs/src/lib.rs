@@ -31,15 +31,13 @@ pub mod json;
 pub mod lifecycle;
 /// Named counters, log2 histograms and sampled gauges.
 pub mod metrics;
-/// Prometheus text-exposition rendering of registry snapshots.
-pub mod prometheus;
 /// Chrome trace-event sink (Perfetto-loadable).
 pub mod trace;
 
 pub use interval::{Epoch, IntervalSample, IntervalSampler};
 pub use json::Json;
 pub use lifecycle::LifecycleStats;
-pub use metrics::{Counter, Gauge, Hist, Registry, RegistrySnapshot};
+pub use metrics::{Counter, Gauge, Hist, Registry};
 pub use trace::TraceSink;
 
 use psb_common::event::{Event, EventKind, StreamObs};
@@ -81,17 +79,6 @@ struct ObsCore {
 #[derive(Clone, Debug)]
 pub struct Obs {
     inner: Rc<RefCell<ObsCore>>,
-    epoch_hook: Rc<RefCell<Option<EpochHook>>>,
-}
-
-/// A callback fired after every closed interval epoch (see
-/// [`Obs::set_epoch_hook`]). Boxed so the hub stays `Debug`.
-struct EpochHook(Box<dyn FnMut(&Obs)>);
-
-impl std::fmt::Debug for EpochHook {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str("EpochHook(..)")
-    }
 }
 
 impl Default for Obs {
@@ -110,7 +97,6 @@ impl Obs {
                 trace: None,
                 interval: None,
             })),
-            epoch_hook: Rc::new(RefCell::new(None)),
         }
     }
 
@@ -161,44 +147,10 @@ impl Obs {
     // ---- interval sampling ---------------------------------------------
 
     /// Feeds the interval sampler one cumulative snapshot (no-op when
-    /// sampling is disabled). When the sample closes an epoch, the
-    /// epoch hook (if any) fires after all internal borrows are
-    /// released, so the hook may freely call back into the hub.
+    /// sampling is disabled).
     pub fn interval_record(&self, cum: IntervalSample) {
-        let closed_epoch = {
-            let mut core = self.inner.borrow_mut();
-            match core.interval.as_mut() {
-                Some(s) => {
-                    let before = s.epochs().len();
-                    s.record(cum);
-                    s.epochs().len() > before
-                }
-                None => false,
-            }
-        };
-        if closed_epoch {
-            self.fire_epoch_hook();
-        }
-    }
-
-    /// Registers a callback fired once per closed interval epoch, with
-    /// every internal borrow released — the hook may read any snapshot
-    /// accessor on the hub it is handed. Live-serving front ends hang
-    /// their periodic publication here (`psbsim --serve`). Replaces any
-    /// previous hook; clones of the hub share one hook.
-    pub fn set_epoch_hook(&self, hook: impl FnMut(&Obs) + 'static) {
-        *self.epoch_hook.borrow_mut() = Some(EpochHook(Box::new(hook)));
-    }
-
-    /// Runs the epoch hook, tolerating a hook that replaces itself.
-    fn fire_epoch_hook(&self) {
-        let taken = self.epoch_hook.borrow_mut().take();
-        if let Some(mut hook) = taken {
-            (hook.0)(self);
-            let mut slot = self.epoch_hook.borrow_mut();
-            if slot.is_none() {
-                *slot = Some(hook);
-            }
+        if let Some(s) = self.inner.borrow_mut().interval.as_mut() {
+            s.record(cum);
         }
     }
 
@@ -217,22 +169,6 @@ impl Obs {
     /// Serializes the metrics registry.
     pub fn registry_json(&self) -> Json {
         self.inner.borrow().registry.to_json()
-    }
-
-    /// A consistent, `Send`-able copy of the metrics registry — the
-    /// handoff type for a serving thread (see [`Registry::snapshot`]).
-    pub fn registry_snapshot(&self) -> metrics::RegistrySnapshot {
-        self.inner.borrow().registry.snapshot()
-    }
-
-    /// A consistent, `Send`-able copy of the closed interval epochs
-    /// (empty when sampling is disabled); never exposes a torn row the
-    /// way reading through a live borrow mid-`record` could.
-    pub fn epochs_snapshot(&self) -> Vec<Epoch> {
-        match self.inner.borrow().interval.as_ref() {
-            Some(s) => s.snapshot(),
-            None => Vec::new(),
-        }
     }
 
     /// Serializes the interval series (empty array when disabled).
@@ -302,7 +238,6 @@ impl StreamObs for Obs {
 mod tests {
     use super::*;
     use psb_common::{Addr, Cycle};
-    use std::cell::Cell;
 
     fn at(cycle: u64) -> Cycle {
         Cycle::new(cycle)
@@ -402,42 +337,6 @@ mod tests {
         assert_eq!(events[1].get("ph").and_then(Json::as_str), Some("X"));
         assert_eq!(events[1].get("dur").and_then(Json::as_u64), Some(36));
         assert_eq!(events[1].get("tid").and_then(Json::as_u64), Some(3));
-    }
-
-    #[test]
-    fn epoch_hook_fires_per_closed_epoch_and_may_reenter() {
-        let obs = Obs::new();
-        obs.enable_interval(100);
-        let fired = Rc::new(Cell::new(0u32));
-        let seen_epochs = Rc::new(Cell::new(0usize));
-        let f = fired.clone();
-        let s = seen_epochs.clone();
-        obs.set_epoch_hook(move |hub: &Obs| {
-            f.set(f.get() + 1);
-            // Re-entering the hub from the hook must not panic on a
-            // RefCell borrow — this is the serving publish path.
-            s.set(hub.epochs_snapshot().len());
-            let _ = hub.registry_snapshot();
-        });
-        obs.interval_record(IntervalSample { cycle: 100, committed: 10, ..Default::default() });
-        obs.interval_record(IntervalSample { cycle: 200, committed: 30, ..Default::default() });
-        // A record that closes no epoch must not fire the hook.
-        obs.interval_record(IntervalSample { cycle: 200, committed: 30, ..Default::default() });
-        assert_eq!(fired.get(), 2);
-        assert_eq!(seen_epochs.get(), 2);
-    }
-
-    #[test]
-    fn epoch_hook_absent_or_sampling_disabled_is_a_noop() {
-        let obs = Obs::new();
-        // No sampler: nothing to close, nothing to fire.
-        obs.set_epoch_hook(|_| panic!("must not fire without a sampler"));
-        obs.interval_record(IntervalSample { cycle: 50, committed: 5, ..Default::default() });
-        // Sampler without a hook: records fine.
-        let plain = Obs::new();
-        plain.enable_interval(10);
-        plain.interval_record(IntervalSample { cycle: 10, committed: 1, ..Default::default() });
-        assert_eq!(plain.epochs_snapshot().len(), 1);
     }
 
     #[test]

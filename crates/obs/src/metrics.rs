@@ -95,46 +95,14 @@ impl Registry {
         self.len() == 0
     }
 
-    /// Copies every metric's current value into a plain-data,
-    /// `Send`-able [`RegistrySnapshot`], in registration order.
-    ///
-    /// This is the handoff type for cross-thread consumers (the live
-    /// HTTP endpoint): the live handles are `Rc`-backed and must stay on
-    /// the simulation thread, so a serving thread is always given a
-    /// snapshot taken at one consistent instant and published whole —
-    /// it can never observe a half-updated registry.
-    pub fn snapshot(&self) -> RegistrySnapshot {
-        RegistrySnapshot {
-            counters: self.counters.iter().map(|(n, c)| (n.clone(), c.get())).collect(),
-            hists: self.hists.iter().map(|(n, h)| (n.clone(), h.snapshot())).collect(),
-            gauges: self.gauges.iter().map(|(n, g)| (n.clone(), g.snapshot())).collect(),
-        }
-    }
-
     /// Serializes every metric, in registration order.
     pub fn to_json(&self) -> Json {
-        self.snapshot().to_json()
-    }
-}
-
-/// A point-in-time copy of a [`Registry`]: plain owned data (`Send` +
-/// `Sync`), safe to hand to another thread and serialize there.
-#[derive(Clone, Debug, Default)]
-pub struct RegistrySnapshot {
-    /// Counter values, in registration order.
-    pub counters: Vec<(String, u64)>,
-    /// Histogram accumulators, in registration order.
-    pub hists: Vec<(String, Log2Histogram)>,
-    /// Gauge accumulators, in registration order.
-    pub gauges: Vec<(String, GaugeStats)>,
-}
-
-impl RegistrySnapshot {
-    /// Serializes the snapshot exactly as [`Registry::to_json`] would.
-    pub fn to_json(&self) -> Json {
-        let counters = Json::obj(self.counters.iter().map(|(n, v)| (n.clone(), Json::u64(*v))));
-        let hists = Json::obj(self.hists.iter().map(|(n, h)| (n.clone(), hist_json(h))));
-        let gauges = Json::obj(self.gauges.iter().map(|(n, g)| (n.clone(), gauge_json(g))));
+        let counters =
+            Json::obj(self.counters.iter().map(|(n, c)| (n.clone(), Json::u64(c.get()))));
+        let hists =
+            Json::obj(self.hists.iter().map(|(n, h)| (n.clone(), hist_json(&h.snapshot()))));
+        let gauges =
+            Json::obj(self.gauges.iter().map(|(n, g)| (n.clone(), gauge_json(&g.snapshot()))));
         Json::obj([("counters", counters), ("histograms", hists), ("gauges", gauges)])
     }
 }
@@ -218,31 +186,6 @@ mod tests {
         assert_eq!(v.get("last").and_then(Json::as_u64), Some(1));
         assert_eq!(v.get("max").and_then(Json::as_u64), Some(3));
         assert_eq!(v.get("samples").and_then(Json::as_u64), Some(2));
-    }
-
-    #[test]
-    fn snapshot_is_a_consistent_detached_copy() {
-        let mut reg = Registry::new();
-        let c = reg.counter("done");
-        let h = reg.hist("micros");
-        let g = reg.gauge("occ");
-        c.add(3);
-        h.observe(100);
-        g.sample(7);
-        let snap = reg.snapshot();
-        // Later updates to the live handles must not leak into the
-        // snapshot — it is a copy, not a view.
-        c.add(10);
-        h.observe(9000);
-        g.sample(1);
-        assert_eq!(snap.counters, vec![("done".to_string(), 3)]);
-        assert_eq!(snap.hists[0].1.total(), 1);
-        assert_eq!(snap.gauges[0].1.last(), Some(7));
-        // And it serializes exactly like the registry did at that point.
-        let json = snap.to_json();
-        assert_eq!(json.get("counters").unwrap().get("done").and_then(Json::as_u64), Some(3));
-        fn is_send<T: Send + Sync>(_: &T) {}
-        is_send(&snap);
     }
 
     #[test]

@@ -123,11 +123,7 @@ pub fn sweep_report(cells: &[SweepCell], outcomes: &[SweepOutcome]) -> Json {
 }
 
 /// One cell's entry in the `psb-sweep-v1` `cells` array: coordinates
-/// plus aggregate statistics. This is also the document the result
-/// journal records per completed cell, so a journal replay can splice
-/// stored entry *text* straight into the final artifact byte-for-byte
-/// (the serializer emits no whitespace, making tree rendering and text
-/// concatenation identical — see [`sweep_report_from_texts`]).
+/// plus aggregate statistics.
 pub fn sweep_cell_entry(cell: &SweepCell, stats: &SimStats) -> Json {
     Json::obj(vec![
         ("benchmark", Json::str(cell.bench.name())),
@@ -135,31 +131,6 @@ pub fn sweep_cell_entry(cell: &SweepCell, stats: &SimStats) -> Json {
         ("scale", Json::u64(cell.scale as u64)),
         ("aggregate", aggregate_json(stats)),
     ])
-}
-
-/// Assembles the final `psb-sweep-v1` document from pre-rendered cell
-/// entry texts (each a [`sweep_cell_entry`] rendering), in submission
-/// order.
-///
-/// Splicing text instead of re-rendering parsed trees is what makes
-/// `--resume` byte-exact: a float that survived one
-/// serialize→parse→serialize round trip could legally re-render
-/// differently, but stored bytes concatenated verbatim cannot. The
-/// output is guaranteed identical to
-/// `sweep_report(...).to_string()` over the same cells because the
-/// serializer is whitespace-free (asserted by test).
-pub fn sweep_report_from_texts(entry_texts: &[String]) -> String {
-    let mut out = String::from("{\"schema\":\"");
-    out.push_str(SWEEP_SCHEMA);
-    out.push_str("\",\"cells\":[");
-    for (i, entry) in entry_texts.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push_str(entry);
-    }
-    out.push_str("]}");
-    out
 }
 
 /// One cell read back from a `psb-sweep-v1` artifact: the coordinates
@@ -321,29 +292,6 @@ mod tests {
     }
 
     #[test]
-    fn text_splicing_equals_tree_rendering_byte_for_byte() {
-        use psb_workloads::Benchmark;
-        let cells: Vec<_> = [Benchmark::Turb3d, Benchmark::DeltaBlue]
-            .into_iter()
-            .map(|b| {
-                crate::sweep::SweepCell::new(b, MachineConfig::baseline(), 1)
-                    .with_max_commits(10_000)
-            })
-            .collect();
-        let outcomes = run_sweep(&cells, 1);
-        let tree = sweep_report(&cells, &outcomes).to_string();
-        let texts: Vec<String> = cells
-            .iter()
-            .zip(&outcomes)
-            .map(|(c, o)| sweep_cell_entry(c, &o.stats).to_string())
-            .collect();
-        let spliced = sweep_report_from_texts(&texts);
-        assert_eq!(tree, spliced, "splicing stored entry texts must reproduce the tree render");
-        assert!(json::parse(&spliced).is_ok());
-        assert_eq!(sweep_report_from_texts(&[]), "{\"schema\":\"psb-sweep-v1\",\"cells\":[]}");
-    }
-
-    #[test]
     fn artifact_without_obs_keeps_stable_shape() {
         let stats = tiny_stats(None);
         let doc = json_report("health", "conf-priority", &stats, None);
@@ -402,8 +350,10 @@ mod tests {
         assert_eq!(read_sweep_report(r#"{"schema":"psb-sweep-v1"}"#), Err(GridError::NotASweep));
         let cells = r#"{"schema":"psb-sweep-v1","cells":{}}"#;
         assert_eq!(read_sweep_report(cells), Err(GridError::NotASweep));
-        assert_eq!(read_sweep_report(&sweep_report_from_texts(&[])), Ok(Vec::new()));
-        let read = |cell: &str| read_sweep_report(&sweep_report_from_texts(&[cell.to_owned()]));
+        assert_eq!(read_sweep_report(r#"{"schema":"psb-sweep-v1","cells":[]}"#), Ok(Vec::new()));
+        let read = |cell: &str| {
+            read_sweep_report(&format!(r#"{{"schema":"psb-sweep-v1","cells":[{cell}]}}"#))
+        };
         let no_aggregate = r#"{"benchmark":"gs","config":"Base","scale":1}"#;
         assert_eq!(read(no_aggregate), Err(GridError::Cell(0, "aggregate")));
         let bad_scale = r#"{"benchmark":"gs","config":"Base","scale":4294967296,"aggregate":{}}"#;

@@ -52,6 +52,10 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// Runs `work` over every item on `workers` threads and returns the
 /// results in submission order.
 ///
+/// `work` receives `(worker, index, item)`, where `worker` is a stable
+/// `0..workers` id of the thread running the item (a host-time ledger
+/// can draw one lane per worker from it; the sweep ignores it).
+///
 /// `on_done` fires once per successful item, in completion order, on
 /// the calling thread — callers hang progress display and other
 /// single-threaded aggregation (e.g. `Obs` counters) there.
@@ -60,20 +64,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// it, reports it, and keeps draining items. When any item panicked the
 /// call returns the [`PoolPanic`] with the smallest index (a
 /// deterministic choice — completion order never picks the error).
-pub fn run_ordered<I: Sync, T: Send>(
-    items: &[I],
-    workers: usize,
-    work: impl Fn(usize, &I) -> T + Sync,
-    on_done: impl FnMut(usize, &T),
-) -> Result<Vec<T>, PoolPanic> {
-    run_ordered_tracked(items, workers, |_, i, item| work(i, item), on_done)
-}
-
-/// [`run_ordered`] with worker identity: `work` receives
-/// `(worker, index, item)`, where `worker` is a stable `0..workers` id
-/// of the thread running the item. Progress trackers hang per-worker
-/// state (current cell, heartbeats) off that id; callers that don't
-/// care use [`run_ordered`].
 pub fn run_ordered_tracked<I: Sync, T: Send>(
     items: &[I],
     workers: usize,
@@ -148,7 +138,8 @@ mod tests {
     #[test]
     fn results_land_in_submission_order() {
         let items: Vec<usize> = (0..16).collect();
-        let out = run_ordered(&items, 4, |i, &v| (i, v * 2), |_, _| {}).expect("no panics");
+        let out =
+            run_ordered_tracked(&items, 4, |_, i, &v| (i, v * 2), |_, _| {}).expect("no panics");
         assert_eq!(out.len(), 16);
         for (i, &(idx, doubled)) in out.iter().enumerate() {
             assert_eq!(idx, i);
@@ -160,7 +151,7 @@ mod tests {
     fn on_done_fires_once_per_item_on_the_calling_thread() {
         let items: Vec<u32> = (0..9).collect();
         let mut seen = Vec::new();
-        run_ordered(&items, 3, |_, &v| v, |i, &v| seen.push((i, v))).expect("no panics");
+        run_ordered_tracked(&items, 3, |_, _, &v| v, |i, &v| seen.push((i, v))).expect("no panics");
         seen.sort_unstable();
         assert_eq!(seen, (0..9).map(|v| (v as usize, v)).collect::<Vec<_>>());
     }
@@ -168,10 +159,10 @@ mod tests {
     #[test]
     fn panicking_item_reports_its_index_and_pool_joins() {
         let items: Vec<usize> = (0..8).collect();
-        let err = run_ordered(
+        let err = run_ordered_tracked(
             &items,
             3,
-            |_, &v| {
+            |_, _, &v| {
                 if v == 5 {
                     panic!("item five exploded");
                 }
@@ -189,10 +180,10 @@ mod tests {
     fn smallest_failing_index_wins_deterministically() {
         let items: Vec<usize> = (0..12).collect();
         for workers in [1, 2, 4] {
-            let err = run_ordered(
+            let err = run_ordered_tracked(
                 &items,
                 workers,
-                |_, &v| {
+                |_, _, &v| {
                     if v % 3 == 2 {
                         panic!("boom at {v}");
                     }
@@ -228,7 +219,7 @@ mod tests {
     #[test]
     fn empty_input_is_a_noop() {
         let out: Vec<u8> =
-            run_ordered(&[], 4, |_, _: &u8| unreachable!(), |_, _| {}).expect("no work");
+            run_ordered_tracked(&[], 4, |_, _, _: &u8| unreachable!(), |_, _| {}).expect("no work");
         assert!(out.is_empty());
     }
 }

@@ -30,7 +30,6 @@
 //! benchmark, machine label and scale — that died.
 
 use crate::pool::run_ordered_tracked;
-use crate::progress::SweepTracker;
 use crate::{MachineConfig, PrefetcherKind, SimStats, Simulation};
 use psb_obs::Obs;
 use psb_workloads::Benchmark;
@@ -104,11 +103,6 @@ pub struct SweepProgress<'a> {
     pub total: usize,
     /// The finished cell.
     pub cell: &'a SweepCell,
-    /// The cell's full simulation statistics (the same value that lands
-    /// in the outcome slot) — incremental consumers like the result
-    /// journal serialize from here instead of waiting for the sweep to
-    /// return.
-    pub stats: &'a SimStats,
     /// Wall-clock cost of the cell in microseconds.
     pub wall_micros: u64,
 }
@@ -223,26 +217,7 @@ pub fn try_run_sweep_with(
     obs: Option<&Obs>,
     on_done: impl FnMut(SweepProgress<'_>),
 ) -> Result<Vec<SweepOutcome>, SweepError> {
-    sweep_with_runner(cells, threads, obs, None, None, on_done, &|cell| cell.run())
-}
-
-/// [`try_run_sweep_with`] publishing live per-worker state into a
-/// [`SweepTracker`] (see `--serve`).
-///
-/// `indices`, when present, maps each cell's submission index to its
-/// index in a larger grid — a journal resume runs only the missing
-/// cells but reports their *original* grid positions. It must pair up
-/// with `cells`; [`SweepProgress::index`] and the returned outcome
-/// order always use the local submission index regardless.
-pub fn try_run_sweep_tracked(
-    cells: &[SweepCell],
-    threads: usize,
-    obs: Option<&Obs>,
-    tracker: Option<&SweepTracker>,
-    indices: Option<&[usize]>,
-    on_done: impl FnMut(SweepProgress<'_>),
-) -> Result<Vec<SweepOutcome>, SweepError> {
-    sweep_with_runner(cells, threads, obs, tracker, indices, on_done, &|cell| cell.run())
+    sweep_with_runner(cells, threads, obs, on_done, &|cell| cell.run())
 }
 
 /// The sweep engine, parameterized over the per-cell runner so tests
@@ -251,15 +226,10 @@ fn sweep_with_runner(
     cells: &[SweepCell],
     threads: usize,
     obs: Option<&Obs>,
-    tracker: Option<&SweepTracker>,
-    indices: Option<&[usize]>,
     mut on_done: impl FnMut(SweepProgress<'_>),
     runner: &(dyn Fn(&SweepCell) -> SimStats + Sync),
 ) -> Result<Vec<SweepOutcome>, SweepError> {
     let total = cells.len();
-    if let Some(map) = indices {
-        assert_eq!(map.len(), total, "index map must pair up with cells");
-    }
     if total == 0 {
         return Ok(Vec::new());
     }
@@ -268,9 +238,6 @@ fn sweep_with_runner(
         obs.record("sweep.cells_total", total as u64);
         obs.record("sweep.workers", workers as u64);
     }
-    if let Some(t) = tracker {
-        t.begin(workers);
-    }
     let completed = obs.map(|o| o.counter("sweep.cells_completed"));
     let cell_micros = obs.map(|o| o.hist("sweep.cell_micros"));
 
@@ -278,23 +245,12 @@ fn sweep_with_runner(
     run_ordered_tracked(
         cells,
         workers,
-        |worker, index, cell| {
-            if let Some(t) = tracker {
-                let grid_index = indices.map_or(index, |m| m[index]);
-                t.worker_started(
-                    worker,
-                    grid_index,
-                    &format!("{}/{}", cell.bench.name(), cell.label()),
-                );
-            }
+        |_, _, cell| {
             // Host wall-clock for telemetry only — the timing feeds a
             // progress histogram, never the deterministic artifact.
             let start = std::time::Instant::now();
             let stats = runner(cell);
             let wall_micros = start.elapsed().as_micros() as u64;
-            if let Some(t) = tracker {
-                t.worker_finished(worker, wall_micros);
-            }
             SweepOutcome { stats, wall_micros }
         },
         |index, outcome| {
@@ -310,7 +266,6 @@ fn sweep_with_runner(
                 done,
                 total,
                 cell: &cells[index],
-                stats: &outcome.stats,
                 wall_micros: outcome.wall_micros,
             });
         },
@@ -412,7 +367,7 @@ mod tests {
             }
             cell.run()
         };
-        let err = sweep_with_runner(&cells, 2, None, None, None, |_| {}, boom)
+        let err = sweep_with_runner(&cells, 2, None, |_| {}, boom)
             .expect_err("the injected panic must surface");
         assert_eq!(err.index, 3);
         assert_eq!(err.bench, Benchmark::DeltaBlue);
@@ -424,40 +379,6 @@ mod tests {
             shown.contains("deltablue") && shown.contains("ConfAlloc-Priority"),
             "error display must name the cell: {shown}"
         );
-    }
-
-    #[test]
-    fn tracked_sweep_reports_every_cell_with_grid_indices() {
-        use psb_obs::{json, Json};
-        let cells = small_grid();
-        let tracker = SweepTracker::new(10);
-        // Pretend these four cells are the tail of a ten-cell grid.
-        let grid_indices: Vec<usize> = vec![6, 7, 8, 9];
-        tracker.set_replayed(6);
-        let outcomes =
-            try_run_sweep_tracked(&cells, 2, None, Some(&tracker), Some(&grid_indices), |_| {})
-                .expect("no panics");
-        assert_eq!(outcomes.len(), cells.len());
-        let doc = json::parse(&tracker.progress_json()).expect("valid progress JSON");
-        assert_eq!(doc.get("done").and_then(Json::as_u64), Some(10));
-        assert_eq!(doc.get("replayed").and_then(Json::as_u64), Some(6));
-        assert_eq!(doc.get("running").and_then(Json::as_u64), Some(0));
-        let workers = doc.get("workers").and_then(Json::as_arr).expect("worker rows");
-        assert_eq!(workers.len(), 2);
-        let total_done: u64 =
-            workers.iter().map(|w| w.get("done").and_then(Json::as_u64).unwrap()).sum();
-        assert_eq!(total_done, 4, "fresh completions split across workers");
-        // Work stealing may let one worker drain the whole grid; every
-        // worker that did run a cell must report grid-space indices.
-        let active: Vec<_> = workers
-            .iter()
-            .filter(|w| w.get("heartbeats").and_then(Json::as_u64).unwrap() > 0)
-            .collect();
-        assert!(!active.is_empty(), "at least one worker must beat");
-        for w in active {
-            let idx = w.get("index").and_then(Json::as_u64).unwrap();
-            assert!((6..10).contains(&idx), "worker rows show grid indices, got {idx}");
-        }
     }
 
     #[test]

@@ -1,17 +1,17 @@
 //! Model-checked tests for the sweep worker pool
-//! (`psb_sim::pool::run_ordered` — the engine under `run_sweep`).
+//! (`psb_sim::pool::run_ordered_tracked` — the engine under `run_sweep`).
 //!
 //! This file only compiles under `--cfg psb_model` (run it through
 //! `cargo xtask model`); in normal builds it is an empty test crate.
 //! Work payloads are cheap integers, not simulations: the concurrency
 //! skeleton being explored is exactly the one production sweeps run,
-//! because `run_ordered` is the shared implementation.
+//! because `run_ordered_tracked` is the shared implementation.
 
 #![cfg(psb_model)]
 
 use psb_model::sched::{explore, ModelConfig, EXPECTED_PANIC_MARKER};
 use psb_model::sync::atomic::{AtomicUsize, Ordering};
-use psb_sim::{run_ordered, run_ordered_tracked, SweepTracker};
+use psb_sim::run_ordered_tracked;
 use std::sync::Arc;
 
 fn cfg(max_dfs: usize, random: usize) -> ModelConfig {
@@ -27,10 +27,10 @@ fn assert_pool_exact(workers: usize, items: usize, max_dfs: usize, random: usize
             Arc::new((0..items).map(|_| AtomicUsize::new(0)).collect());
         let runs_in = runs.clone();
         let mut done_indices = Vec::new();
-        let out = run_ordered(
+        let out = run_ordered_tracked(
             &items_vec,
             workers,
-            move |i, &v| {
+            move |_, i, &v| {
                 assert_eq!(i, v, "claimed index must match the item");
                 runs_in[i].fetch_add(1, Ordering::SeqCst);
                 v * 10
@@ -66,61 +66,6 @@ fn pool_three_workers_six_items_exact_once_in_order() {
     assert_pool_exact(3, 6, 3000, 300);
 }
 
-/// The progress-snapshot handoff: workers publish tracker events while
-/// a reader thread polls the published document. Under every explored
-/// interleaving the reader must parse a complete, monotone document (no
-/// torn epoch row, `done` never exceeds `total` or regresses), the
-/// reader and the publishing workers must not deadlock, and the final
-/// document must account for every heartbeat (none lost).
-#[test]
-fn tracker_handoff_loses_no_heartbeat_and_never_tears() {
-    use psb_obs::{json, Json};
-    let report = explore(
-        "tracker_handoff",
-        &ModelConfig { max_dfs: 3000, random: 300, ..ModelConfig::default() }.from_env(),
-        || {
-            let items: Vec<usize> = (0..3).collect();
-            let tracker = SweepTracker::new(items.len());
-            tracker.begin(2);
-            let handle = tracker.handle();
-            let reader = psb_model::thread::spawn(move || {
-                let mut last_done = 0;
-                for _ in 0..2 {
-                    let doc = json::parse(&handle.read())
-                        .expect("a published progress document is never torn");
-                    let done = doc.get("done").and_then(Json::as_u64).expect("done");
-                    let total = doc.get("total").and_then(Json::as_u64).expect("total");
-                    assert!(done <= total, "done {done} must not exceed total {total}");
-                    assert!(done >= last_done, "done regressed: {done} after {last_done}");
-                    last_done = done;
-                }
-            });
-            run_ordered_tracked(
-                &items,
-                2,
-                |w, i, &v| {
-                    tracker.worker_started(w, i, "cell");
-                    tracker.worker_finished(w, 10);
-                    v
-                },
-                |_, _| {},
-            )
-            .expect("no panics");
-            reader.join().expect("reader must not deadlock or panic");
-            let doc = json::parse(&tracker.progress_json()).expect("final document");
-            assert_eq!(doc.get("done").and_then(Json::as_u64), Some(3));
-            assert_eq!(doc.get("running").and_then(Json::as_u64), Some(0));
-            let workers = doc.get("workers").and_then(Json::as_arr).expect("workers");
-            let beats: u64 = workers
-                .iter()
-                .map(|w| w.get("heartbeats").and_then(Json::as_u64).expect("heartbeats"))
-                .sum();
-            assert_eq!(beats, 6, "start+finish per item, none lost");
-        },
-    );
-    assert!(report.executions > 1, "tracker handoff must branch");
-}
-
 /// A panicking work item must leave the pool joinable: the run returns
 /// an error naming the item instead of hanging or tearing the process
 /// down, under every explored interleaving.
@@ -128,10 +73,10 @@ fn tracker_handoff_loses_no_heartbeat_and_never_tears() {
 fn pool_survives_a_panicking_item_and_names_it() {
     explore("pool_panic_joinable", &cfg(2500, 300), || {
         let items: Vec<usize> = (0..4).collect();
-        let err = run_ordered(
+        let err = run_ordered_tracked(
             &items,
             2,
-            |_, &v| {
+            |_, _, &v| {
                 if v == 1 {
                     panic!("{EXPECTED_PANIC_MARKER} injected item failure");
                 }

@@ -116,7 +116,7 @@ impl FromStr for Benchmark {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::find_control_flow_violation;
+    use crate::trace::validate_trace;
 
     #[test]
     fn all_names_round_trip() {
@@ -133,7 +133,7 @@ mod tests {
         for b in Benchmark::ALL {
             let t = b.trace(1);
             assert!(t.len() >= 300_000, "{b}: {} insts", t.len());
-            assert_eq!(find_control_flow_violation(&t), None, "{b}");
+            validate_trace(&t).unwrap_or_else(|e| panic!("{b}: {e}"));
         }
     }
 

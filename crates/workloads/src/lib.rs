@@ -49,4 +49,4 @@ pub use benchmark::{Benchmark, ParseBenchmarkError};
 pub use cache::{clear_trace_cache, trace_cache_len, SharedTrace};
 pub use heap::SyntheticHeap;
 pub use serial::{read_trace, write_trace};
-pub use trace::{find_control_flow_violation, TraceBuilder, TraceMix};
+pub use trace::{validate_trace, TraceBuilder, TraceMix};

@@ -2,6 +2,7 @@
 
 use psb_common::Addr;
 use psb_cpu::{BranchInfo, BranchKind, DynInst, Op, Reg};
+use std::io;
 
 /// Builds a correct-path dynamic instruction trace while enforcing the
 /// program-order invariant the pipeline's fetch stage relies on: after a
@@ -159,12 +160,34 @@ impl TraceBuilder {
     }
 }
 
-/// Checks the program-order invariant over a full trace; returns the
-/// index of the first violation, if any.
+/// Checks the program-order invariant [`DynInst`] documents over a full
+/// trace: each instruction sits at its predecessor's
+/// [`DynInst::next_pc`], `pc + 4` or the target of a taken branch.
 ///
-/// Every generator's output is validated in tests with this function.
-pub fn find_control_flow_violation(trace: &[DynInst]) -> Option<usize> {
-    trace.windows(2).position(|w| w[1].pc != w[0].next_pc()).map(|i| i + 1)
+/// Every generator's output is checked with this in tests, and `psbsim
+/// --load` checks every PSBT archive it reads.
+///
+/// # Errors
+///
+/// Returns `InvalidData` naming the first instruction that does not
+/// follow its predecessor.
+pub fn validate_trace(trace: &[DynInst]) -> io::Result<()> {
+    for (i, pair) in trace.windows(2).enumerate() {
+        if let [prev, inst] = pair {
+            if inst.pc != prev.next_pc() {
+                return Err(io::Error::new(
+                    io::ErrorKind::InvalidData,
+                    format!(
+                        "instruction {}: pc {} does not follow instruction {i} (expected {})",
+                        i + 1,
+                        inst.pc,
+                        prev.next_pc()
+                    ),
+                ));
+            }
+        }
+    }
+    Ok(())
 }
 
 /// Summary statistics of a trace's instruction mix.
@@ -223,7 +246,7 @@ mod tests {
         assert_eq!(t[0].pc, Addr::new(0x100));
         assert_eq!(t[1].pc, Addr::new(0x104));
         assert_eq!(t[2].pc, Addr::new(0x108));
-        assert_eq!(find_control_flow_violation(&t), None);
+        validate_trace(&t).unwrap();
     }
 
     #[test]
@@ -233,7 +256,7 @@ mod tests {
         b.alu(1, None, None); // must be at 0x200
         let t = b.finish();
         assert_eq!(t[1].pc, Addr::new(0x200));
-        assert_eq!(find_control_flow_violation(&t), None);
+        validate_trace(&t).unwrap();
     }
 
     #[test]
@@ -255,7 +278,7 @@ mod tests {
         let t = b.finish();
         assert_eq!(t[1].pc, Addr::new(0x800));
         assert_eq!(t[3].pc, Addr::new(0x104));
-        assert_eq!(find_control_flow_violation(&t), None);
+        validate_trace(&t).unwrap();
     }
 
     #[test]
@@ -293,7 +316,9 @@ mod tests {
         b.alu(2, None, None);
         let mut t = b.finish();
         t[1].pc = Addr::new(0x9999); // corrupt
-        assert_eq!(find_control_flow_violation(&t), Some(1));
+        let err = validate_trace(&t).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+        assert!(err.to_string().starts_with("instruction 1: "), "{err}");
     }
 
     #[test]

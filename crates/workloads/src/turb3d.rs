@@ -129,12 +129,12 @@ pub fn trace(scale: u32) -> Vec<DynInst> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::trace::{find_control_flow_violation, TraceMix};
+    use crate::trace::{validate_trace, TraceMix};
 
     #[test]
     fn trace_is_control_flow_consistent() {
         let t = trace(1);
-        assert_eq!(find_control_flow_violation(&t), None);
+        validate_trace(&t).unwrap();
     }
 
     #[test]

@@ -31,19 +31,17 @@
 //!                    stream buffer)
 //!   --interval N     sample the interval time series every N cycles
 //!                    (recorded into the --json artifact)
-//!   --serve ADDR     serve GET /progress, /metrics and /report over
-//!                    HTTP on ADDR (e.g. 127.0.0.1:9090) while the
-//!                    simulation runs; implies --interval 100000 when
-//!                    no interval is given (epoch closes drive the
-//!                    live updates)
 //! ```
+//!
+//! `--json` and `--trace-out` files are created before the simulation
+//! starts, so a path that cannot be written fails at once, not after
+//! the run.
 
 use psb::cpu::Disambiguation;
 use psb::mem::CacheConfig;
-use psb::obs::{prometheus, Json};
-use psb::serve::{Published, Route, Server};
-use psb::sim::{f2, pct, MachineConfig, PrefetcherKind, SimStats, Simulation, SweepTracker, Table};
+use psb::sim::{f2, pct, MachineConfig, PrefetcherKind, SimStats, Simulation, Table};
 use psb::workloads::Benchmark;
+use std::io::Write;
 
 fn usage() -> ! {
     let kinds: Vec<&str> = PrefetcherKind::ALL.iter().map(|k| k.cli_name()).collect();
@@ -51,7 +49,7 @@ fn usage() -> ! {
         "usage: psbsim [--prefetcher KIND] [--l1d GEOM] [--no-dis] \
          [--scale N] [--max N] [--compare] [--dump FILE] [--load FILE] \
          [--victim N] [--csv] [--log N] [--log-last N] [--json FILE] \
-         [--trace-out FILE] [--interval N] [--serve ADDR] \
+         [--trace-out FILE] [--interval N] \
          [--bench NAME | <benchmark>]\n\
          kinds: {}\n\
          benchmarks: health burg deltablue gs sis turb3d\n\
@@ -61,12 +59,18 @@ fn usage() -> ! {
     std::process::exit(2);
 }
 
-/// Writes `contents` to `path`, exiting with a message on failure.
-fn write_file(path: &str, contents: &str) {
-    if let Err(e) = std::fs::write(path, contents) {
+/// Exits with a message naming `path` when an I/O step on it failed.
+fn or_exit<T>(path: &str, result: std::io::Result<T>) -> T {
+    result.unwrap_or_else(|e| {
         eprintln!("{path}: {e}");
         std::process::exit(1);
-    }
+    })
+}
+
+/// Creates (or truncates) `path` for writing after the run.
+fn create_file(path: String) -> (String, std::fs::File) {
+    let file = or_exit(&path, std::fs::File::create(&path));
+    (path, file)
 }
 
 fn report(label: &str, s: &SimStats) -> Vec<String> {
@@ -98,7 +102,6 @@ fn main() {
     let mut json_out: Option<String> = None;
     let mut trace_out: Option<String> = None;
     let mut interval: Option<u64> = None;
-    let mut serve_addr: Option<String> = None;
 
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -149,7 +152,6 @@ fn main() {
                         .unwrap_or_else(|| usage()),
                 )
             }
-            "--serve" => serve_addr = Some(args.next().unwrap_or_else(|| usage())),
             "--help" | "-h" => usage(),
             "--bench" => match args.next().as_deref().map(str::parse) {
                 Some(Ok(b)) if bench.is_none() => bench = Some(b),
@@ -184,31 +186,23 @@ fn main() {
     }
     let trace = if let Some(path) = load {
         eprintln!("loading trace from {path}...");
-        let file = std::fs::File::open(&path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        });
-        psb::workloads::read_trace(std::io::BufReader::new(file)).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        })
+        let file = or_exit(&path, std::fs::File::open(&path));
+        let trace = or_exit(&path, psb::workloads::read_trace(std::io::BufReader::new(file)));
+        or_exit(&path, psb::workloads::validate_trace(&trace));
+        trace
     } else {
         let Some(bench) = bench else { usage() };
         eprintln!("generating {bench} trace (scale {scale})...");
         bench.trace(scale.get())
     };
     if let Some(path) = dump {
-        let file = std::fs::File::create(&path).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        });
-        psb::workloads::write_trace(std::io::BufWriter::new(file), &trace).unwrap_or_else(|e| {
-            eprintln!("{path}: {e}");
-            std::process::exit(1);
-        });
+        let file = or_exit(&path, std::fs::File::create(&path));
+        or_exit(&path, psb::workloads::write_trace(std::io::BufWriter::new(file), &trace));
         eprintln!("wrote {} instructions to {path}", trace.len());
         return;
     }
+    let json_file = json_out.map(create_file);
+    let trace_file = trace_out.map(create_file);
     eprintln!("{} instructions; simulating...", trace.len());
 
     let config = MachineConfig::baseline()
@@ -219,13 +213,8 @@ fn main() {
 
     // The observability hub rides along on every run; tracing and
     // interval sampling only collect when their flags ask for them.
-    // Live serving needs epoch closes to drive its updates, so --serve
-    // without --interval samples at a default cadence.
-    if serve_addr.is_some() && interval.is_none() {
-        interval = Some(100_000);
-    }
     let obs = psb::obs::Obs::new();
-    if trace_out.is_some() {
+    if trace_file.is_some() {
         obs.enable_trace(1 << 20);
     }
     if let Some(every) = interval {
@@ -241,70 +230,20 @@ fn main() {
 
     let bench_label = bench.map_or_else(|| "trace".to_owned(), |b| b.to_string());
 
-    // The --serve plane: a single-cell progress tracker (heartbeats per
-    // closed epoch), Prometheus metrics, and a partial psb-run-v1
-    // report that fills in when the run completes.
-    let serving = serve_addr.as_deref().map(|addr| {
-        let tracker = SweepTracker::new(1);
-        tracker.begin(1);
-        let metrics = Published::new(prometheus::render(&obs.registry_snapshot()));
-        let report = Published::new(
-            Json::obj(vec![
-                ("schema", Json::str("psb-run-v1")),
-                ("benchmark", Json::str(&bench_label)),
-                ("prefetcher", Json::str(kind.label())),
-                ("partial", Json::Bool(true)),
-                ("aggregate", Json::Null),
-            ])
-            .to_string(),
-        );
-        let server = Server::bind(
-            addr,
-            vec![
-                Route::new("/progress", "application/json", tracker.handle()),
-                Route::new("/metrics", "text/plain; version=0.0.4", metrics.clone()),
-                Route::new("/report", "application/json", report.clone()),
-            ],
-        )
-        .unwrap_or_else(|e| {
-            eprintln!("psbsim: cannot serve on {addr}: {e}");
-            std::process::exit(1);
-        });
-        eprintln!("serving /progress /metrics /report on http://{}/", server.local_addr());
-        // Each closed interval epoch beats the tracker (proof of life
-        // mid-run) and refreshes the served metrics snapshot.
-        let hook_tracker = tracker.clone();
-        let hook_metrics = metrics.clone();
-        obs.set_epoch_hook(move |obs| {
-            hook_tracker.worker_heartbeat(0);
-            hook_metrics.publish(prometheus::render(&obs.registry_snapshot()));
-        });
-        tracker.worker_started(0, 0, &format!("{bench_label}/{}", kind.label()));
-        (server, tracker, metrics, report)
-    });
-
-    let run_start = std::time::Instant::now();
     let mut sim = Simulation::new(config, trace.clone(), max).with_obs(obs.clone());
     if let Some(log) = &log {
         sim = sim.with_event_log(log.clone());
     }
     let main_stats = sim.run();
 
-    if let Some((_, tracker, metrics, report)) = &serving {
-        tracker.worker_finished(0, run_start.elapsed().as_micros() as u64);
-        metrics.publish(prometheus::render(&obs.registry_snapshot()));
+    if let Some((path, mut file)) = json_file {
         let doc = psb::sim::json_report(&bench_label, kind.label(), &main_stats, Some(&obs));
-        report.publish(doc.to_string());
-    }
-
-    if let Some(path) = &json_out {
-        let doc = psb::sim::json_report(&bench_label, kind.label(), &main_stats, Some(&obs));
-        write_file(path, &doc.to_string());
+        or_exit(&path, file.write_all(doc.to_string().as_bytes()));
         eprintln!("wrote run artifact to {path}");
     }
-    if let Some(path) = &trace_out {
+    if let Some((path, mut file)) = trace_file {
         let doc = obs.trace_json().expect("tracing was enabled above");
-        write_file(path, &doc.to_string());
+        or_exit(&path, file.write_all(doc.to_string().as_bytes()));
         eprintln!("wrote Chrome trace to {path}");
     }
 

@@ -12,8 +12,6 @@
 //! * [`sim`] — the full-system simulator and experiment harness.
 //! * [`obs`] — observability: metrics registry, prefetch-lifecycle
 //!   tracing, interval time series and JSON artifacts.
-//! * [`serve`] — zero-dependency HTTP serving of live progress,
-//!   metrics and report documents (`--serve` in both binaries).
 //!
 //! # Quickstart
 //!
@@ -31,6 +29,5 @@ pub use psb_core as core;
 pub use psb_cpu as cpu;
 pub use psb_mem as mem;
 pub use psb_obs as obs;
-pub use psb_serve as serve;
 pub use psb_sim as sim;
 pub use psb_workloads as workloads;

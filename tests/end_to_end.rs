@@ -304,3 +304,85 @@ fn psbsim_load_rejects_a_bad_memory_op() {
         assert!(stderr.contains(msg), "{name}: {stderr}");
     }
 }
+
+#[test]
+fn psbsim_load_rejects_a_trace_out_of_program_order() {
+    // Instruction 1 must sit at 0x404, where the ALU op at 0x400 falls
+    // through to; a decodable archive that breaks that used to simulate.
+    use psb::common::Addr;
+    use psb::cpu::{DynInst, Reg};
+    let alu = |pc| DynInst::alu(Addr::new(pc), Reg::new(1), None, None);
+    let path = std::env::temp_dir().join(format!("psb-order-{}.psbt", std::process::id()));
+    let mut buf = Vec::new();
+    psb::workloads::write_trace(&mut buf, &[alu(0x400), alu(0x800), alu(0x804)])
+        .expect("writes to a Vec");
+    std::fs::write(&path, buf).expect("temp file is writable");
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_psbsim"))
+        .arg("--load")
+        .arg(&path)
+        .output()
+        .expect("psbsim starts");
+    std::fs::remove_file(&path).ok();
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("instruction 1: "), "{stderr}");
+    assert!(!stderr.contains("simulating"), "{stderr}");
+}
+
+#[test]
+fn psbsim_and_psbsweep_fail_on_an_unwritable_path_before_simulating() {
+    // A path in a missing directory cannot be created. The CLIs used to
+    // find that out only after the whole run.
+    let path = std::env::temp_dir().join(format!("psb-missing-{}/out.json", std::process::id()));
+    let path = path.to_str().expect("temp paths are UTF-8");
+    let runs = [
+        (env!("CARGO_BIN_EXE_psbsim"), vec!["--json", path, "--max", "1000", "health"]),
+        (env!("CARGO_BIN_EXE_psbsim"), vec!["--trace-out", path, "--max", "1000", "health"]),
+        (
+            env!("CARGO_BIN_EXE_psbsweep"),
+            vec!["--bench", "health", "--prefetchers", "none", "--max", "1000", "--json", path],
+        ),
+    ];
+    for (bin, args) in runs {
+        let out = std::process::Command::new(bin).args(&args).output().expect("the CLI starts");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "{bin} {args:?}: {stderr}");
+        assert!(stderr.contains(path), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("simulating"), "{bin} {args:?}: {stderr}");
+        assert!(!stderr.contains("sweeping"), "{bin} {args:?}: {stderr}");
+        assert!(out.stdout.is_empty(), "{bin} {args:?} printed a result");
+    }
+}
+
+#[test]
+fn psbsweep_artifacts_match_the_library() {
+    let cells: Vec<SweepCell> = [Benchmark::Turb3d, Benchmark::DeltaBlue]
+        .into_iter()
+        .flat_map(|bench| {
+            [PrefetcherKind::None, PrefetcherKind::PsbConfPriority].into_iter().map(move |kind| {
+                SweepCell::new(bench, MachineConfig::baseline().with_prefetcher(kind), 1)
+                    .with_max_commits(20_000)
+            })
+        })
+        .collect();
+    let outcomes = run_sweep(&cells, 1);
+    let path = std::env::temp_dir().join(format!("psb-sweep-{}.json", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_psbsweep"))
+        .args(["--bench", "turb3d,deltablue", "--prefetchers", "none,conf-priority"])
+        .args(["--max", "20000", "--threads", "2", "--quiet", "--csv", "--json"])
+        .arg(&path)
+        .output()
+        .expect("psbsweep starts");
+    let json = std::fs::read_to_string(&path);
+    std::fs::remove_file(&path).ok();
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let want = psb::sim::sweep_report(&cells, &outcomes).to_string();
+    assert!(json.expect("psbsweep wrote its --json file") == want, "--json differs");
+    let stdout = String::from_utf8(out.stdout).expect("CSV is UTF-8");
+    let rows: Vec<&str> = stdout.lines().skip(1).collect();
+    assert_eq!(rows.len(), cells.len(), "{stdout}");
+    for ((row, cell), outcome) in rows.iter().zip(&cells).zip(&outcomes) {
+        assert!(row.starts_with(&format!("{},{},", cell.bench.name(), cell.label())), "{row}");
+        assert!(row.ends_with(&format!(",{}", outcome.stats.csv_row())), "{row}");
+    }
+}

@@ -1,7 +1,7 @@
 //! Pass 2: static lock-order.
 //!
 //! Extracts every `.lock()` acquisition in the threaded crates
-//! (`model`, `serve`, `sim`, `bench`), assigns it a **lock class**
+//! (`model`, `sim`, `bench`), assigns it a **lock class**
 //! `{crate}/{receiver}` (so `self.state.lock()` in psb-model is
 //! `model/state`), computes how long each guard is *held* —
 //!
@@ -29,7 +29,7 @@ use crate::lexer::Kind;
 use std::collections::{BTreeMap, BTreeSet};
 
 /// The crates whose locking code forms the analysis universe.
-pub const LOCK_CRATES: &[&str] = &["model", "serve", "sim", "bench"];
+pub const LOCK_CRATES: &[&str] = &["model", "sim", "bench"];
 
 /// One direct lock acquisition inside a function body.
 #[derive(Clone, Debug)]
@@ -406,7 +406,7 @@ mod tests {
     fn call_mediated_inversion_is_a_cycle() {
         let w = Workspace::from_sources(&[
             (
-                "crates/serve/src/x.rs",
+                "crates/sim/src/x.rs",
                 "impl P {\n\
                      fn publish(&self) { let s = self.slot.lock(); self.deep_notify(); }\n\
                      fn deep_notify(&self) { notify_all(); }\n\
@@ -423,7 +423,7 @@ mod tests {
         assert!(
             r.cycles
                 .iter()
-                .any(|c| c.contains(&"serve/slot".to_string())
+                .any(|c| c.contains(&"sim/slot".to_string())
                     && c.contains(&"model/state".to_string())),
             "{:?}",
             r.cycles

@@ -38,7 +38,7 @@ use std::collections::BTreeSet;
 pub const DETERMINISTIC_CRATES: &[&str] = &["sim", "core", "mem", "cpu", "workloads"];
 
 /// Crates whose concurrency runs under the model checker.
-pub const MODEL_CHECKED_CRATES: &[&str] = &["serve", "sim", "workloads"];
+pub const MODEL_CHECKED_CRATES: &[&str] = &["sim", "workloads"];
 
 /// `std::sync` items that have a `psb_model` shim, matched within a path
 /// segment (so `AtomicU64` counts). `Arc` is exempt: it is pure
@@ -286,7 +286,7 @@ mod tests {
         expect(&[
             ("crates/sim/src/pool.rs", "use std::sync::Mutex;\n", &[":sync-shims"]),
             ("crates/workloads/src/c.rs", "use std::sync::{Arc, OnceLock};\n", &[":sync-shims"]),
-            ("crates/serve/src/x.rs", "fn f() { std::thread::spawn(|| {}); }\n", &["f:sync-shims"]),
+            ("crates/sim/src/x.rs", "fn f() { std::thread::spawn(|| {}); }\n", &["f:sync-shims"]),
         ]);
     }
 
@@ -297,7 +297,7 @@ mod tests {
         let module = "use std::sync;\nfn f(m: &sync::Mutex<u8>) {}\n";
         expect(&[
             ("crates/sim/src/pool.rs", "use std::sync::*;\n", &[":sync-shims"]),
-            ("crates/serve/src/x.rs", module, &[":sync-shims"]),
+            ("crates/sim/src/x.rs", module, &[":sync-shims"]),
             ("crates/workloads/src/c.rs", "use std::sync::{self, Arc};\n", &[":sync-shims"]),
         ]);
         let got = found("crates/sim/src/pool.rs", "use std::{\n    sync,\n    thread,\n};\n");

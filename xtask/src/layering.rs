@@ -34,10 +34,6 @@ const LAYERS: &[(&str, &[&str], &[&str])] = &[
     ("crates/mem", &["psb-common", "psb-obs", "psb-check"], &[]),
     ("crates/core", &["psb-common", "psb-check"], &["psb-obs"]),
     ("crates/workloads", &["psb-common", "psb-cpu", "psb-model"], &[]),
-    // The serving plane sits beside obs: plain-data documents in, HTTP
-    // out. It must never see the simulator, so a sweep can publish to it
-    // but it cannot reach back.
-    ("crates/serve", &["psb-common", "psb-obs", "psb-model"], &[]),
     (
         "crates/sim",
         &[
@@ -48,7 +44,6 @@ const LAYERS: &[(&str, &[&str], &[&str])] = &[
             "psb-obs",
             "psb-workloads",
             "psb-model",
-            "psb-serve",
             "psb-check",
         ],
         &[],
@@ -68,7 +63,6 @@ const LAYERS: &[(&str, &[&str], &[&str])] = &[
             "psb-obs",
             "psb-workloads",
             "psb-sim",
-            "psb-serve",
             "psb-model",
             "psb-check",
         ],

@@ -217,9 +217,9 @@ fn lint(args: &[String]) -> ExitCode {
 }
 
 /// The model-checked packages: the checker itself (self-tests including
-/// a seeded-bug detection test), the sweep worker pool, the shared
-/// trace cache, and the serving plane's snapshot handoff.
-const MODEL_PACKAGES: [&str; 4] = ["psb-model", "psb-serve", "psb-sim", "psb-workloads"];
+/// a seeded-bug detection test), the sweep worker pool and the shared
+/// trace cache.
+const MODEL_PACKAGES: [&str; 3] = ["psb-model", "psb-sim", "psb-workloads"];
 
 /// `cargo xtask model` — run the `tests/model.rs` suites under
 /// `--cfg psb_model`, serializing test execution (the scheduler uses

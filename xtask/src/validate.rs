@@ -11,14 +11,7 @@
 //!   entries carry the keys Perfetto requires per phase.
 //! * `psb-bench-v1` — the bench harness's `BENCH_psb.json`.
 //! * `psb-sweep-v1` — `psbsweep --json`: one entry per grid cell with
-//!   the cell's coordinates and aggregate statistics. A live `/report`
-//!   body flagged `"partial":true` (subset of cells) also validates.
-//! * `psb-sweep-journal-v1` — `psbsweep --journal`: line-oriented, one
-//!   header plus one fsync'd record per completed cell. A torn final
-//!   line (crash mid-append) is tolerated, exactly as `--resume`
-//!   tolerates it; corruption anywhere else fails.
-//! * `psb-sweep-progress-v1` — the `--serve` `/progress` body:
-//!   aggregate counts, ETA and per-worker rows.
+//!   the cell's coordinates and aggregate statistics.
 //! * `psb-analyze-v1` — `cargo xtask analyze --report`: per-pass
 //!   finding lists (panic-freedom, lock-order, cast safety, source
 //!   rules), the baseline accounting, and the gate verdict — which must
@@ -54,19 +47,11 @@ pub fn validate_artifacts(paths: &[String]) -> ExitCode {
 /// human-readable description of what was validated.
 fn validate_file(path: &str) -> Result<String, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
-    // Journals are line-oriented (one JSON document per line), so a
-    // whole-file parse would fail; sniff the header line first.
-    if let Ok(head) = json::parse(text.lines().next().unwrap_or("")) {
-        if head.get("schema").and_then(Json::as_str) == Some("psb-sweep-journal-v1") {
-            return validate_journal(&text);
-        }
-    }
     let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     match doc.get("schema").and_then(Json::as_str) {
         Some("psb-run-v1") => validate_run(&doc),
         Some("psb-bench-v1") => validate_bench(&doc),
         Some("psb-sweep-v1") => validate_sweep(&doc),
-        Some("psb-sweep-progress-v1") => validate_progress(&doc),
         Some("psb-analyze-v1") => validate_analyze(&doc),
         Some(other) => Err(format!("unknown schema {other:?}")),
         None if doc.get("traceEvents").is_some() => validate_trace(&doc),
@@ -83,16 +68,6 @@ fn require_u64(doc: &Json, key: &str) -> Result<u64, String> {
 }
 
 fn validate_run(doc: &Json) -> Result<String, String> {
-    // A live `/report` polled mid-run is flagged partial and carries no
-    // aggregate yet — only the run's identity keys.
-    if matches!(doc.get("partial"), Some(Json::Bool(true)))
-        && matches!(doc.get("aggregate"), Some(Json::Null))
-    {
-        for key in ["benchmark", "prefetcher"] {
-            require(doc, key)?.as_str().ok_or_else(|| format!("`{key}` is not a string"))?;
-        }
-        return Ok("partial run report (mid-run /report)".to_string());
-    }
     let agg = require(doc, "aggregate")?;
     let cycles = require_u64(agg, "cycles")?;
     if cycles == 0 {
@@ -187,63 +162,7 @@ fn validate_sweep(doc: &Json) -> Result<String, String> {
             .and_then(|v| v.as_f64().ok_or_else(|| "`ipc` is not a number".to_string()))
             .map_err(|m| format!("cells[{i}]: {m}"))?;
     }
-    let partial =
-        if matches!(doc.get("partial"), Some(Json::Bool(true))) { "partial " } else { "" };
-    Ok(format!("{partial}sweep report, {} cell(s)", cells.len()))
-}
-
-/// Validates a line-oriented `psb-sweep-journal-v1` file: a header plus
-/// complete records. The newline is the journal's commit marker, so an
-/// unterminated final line — what a crash mid-append leaves behind — is
-/// tolerated and reported; a torn line anywhere else, a duplicate or an
-/// out-of-range index is an error.
-fn validate_journal(text: &str) -> Result<String, String> {
-    let mut offset = 0usize;
-    let mut line_no = 0usize;
-    let mut total = 0u64;
-    let mut seen: Vec<u64> = Vec::new();
-    let mut torn = false;
-    while offset < text.len() {
-        line_no += 1;
-        let rest = &text[offset..];
-        let Some(nl) = rest.find('\n') else {
-            torn = true;
-            break;
-        };
-        let line = &rest[..nl];
-        offset += nl + 1;
-        let doc = json::parse(line).map_err(|e| format!("line {line_no}: invalid JSON: {e}"))?;
-        if line_no == 1 {
-            total = require_u64(&doc, "total").map_err(|m| format!("line 1: {m}"))?;
-            let grid = require(&doc, "grid")
-                .and_then(|g| g.as_arr().ok_or_else(|| "`grid` is not an array".to_string()))
-                .map_err(|m| format!("line 1: {m}"))?;
-            if grid.len() as u64 != total {
-                return Err(format!(
-                    "line 1: grid has {} entries but total is {total}",
-                    grid.len()
-                ));
-            }
-            continue;
-        }
-        let index = require_u64(&doc, "index").map_err(|m| format!("line {line_no}: {m}"))?;
-        if index >= total {
-            return Err(format!("line {line_no}: index {index} out of range (total {total})"));
-        }
-        if seen.contains(&index) {
-            return Err(format!("line {line_no}: duplicate record for index {index}"));
-        }
-        require(&doc, "cell").map_err(|m| format!("line {line_no}: {m}"))?;
-        seen.push(index);
-    }
-    if line_no == 0 || (line_no == 1 && torn) {
-        return Err("missing journal header line".to_string());
-    }
-    Ok(format!(
-        "sweep journal, {}/{total} record(s){}",
-        seen.len(),
-        if torn { ", torn tail ignored" } else { "" }
-    ))
+    Ok(format!("sweep report, {} cell(s)", cells.len()))
 }
 
 /// Validates a `psb-analyze-v1` report: pass list, per-pass finding
@@ -334,40 +253,6 @@ fn validate_analyze(doc: &Json) -> Result<String, String> {
     ))
 }
 
-/// Validates a `psb-sweep-progress-v1` document: aggregate counts plus
-/// one row per worker.
-fn validate_progress(doc: &Json) -> Result<String, String> {
-    let total = require_u64(doc, "total")?;
-    let done = require_u64(doc, "done")?;
-    if done > total {
-        return Err(format!("done {done} exceeds total {total}"));
-    }
-    for key in ["replayed", "running", "workers_configured", "seq"] {
-        require_u64(doc, key)?;
-    }
-    match require(doc, "eta_micros")? {
-        Json::Null => {}
-        v if v.as_u64().is_some() => {}
-        _ => return Err("`eta_micros` is neither null nor an unsigned integer".to_string()),
-    }
-    let workers = require(doc, "workers")?.as_arr().ok_or("`workers` is not an array")?;
-    for (i, w) in workers.iter().enumerate() {
-        for key in ["id", "done", "heartbeats", "last_seq"] {
-            require_u64(w, key).map_err(|m| format!("workers[{i}]: {m}"))?;
-        }
-        let state = require(w, "state")
-            .and_then(|s| s.as_str().ok_or_else(|| "`state` is not a string".to_string()))
-            .map_err(|m| format!("workers[{i}]: {m}"))?;
-        if state != "running" && state != "idle" {
-            return Err(format!("workers[{i}]: unexpected state {state:?}"));
-        }
-        require(w, "cell")
-            .and_then(|s| s.as_str().ok_or_else(|| "`cell` is not a string".to_string()))
-            .map_err(|m| format!("workers[{i}]: {m}"))?;
-    }
-    Ok(format!("progress snapshot, {done}/{total} done, {} worker row(s)", workers.len()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -438,88 +323,6 @@ mod tests {
     }
 
     #[test]
-    fn run_report_accepts_a_partial_live_body() {
-        let partial = r#"{"schema":"psb-run-v1","benchmark":"health",
-            "prefetcher":"conf-priority","partial":true,"aggregate":null}"#;
-        let desc = validate_run(&json::parse(partial).unwrap()).unwrap();
-        assert!(desc.contains("partial"), "{desc}");
-        // Without the flag a null aggregate is still an error.
-        let bad = partial.replace("\"partial\":true,", "");
-        assert!(validate_run(&json::parse(&bad).unwrap()).is_err());
-    }
-
-    const JOURNAL: &str = concat!(
-        "{\"schema\":\"psb-sweep-journal-v1\",\"total\":3,\"grid\":[{},{},{}]}\n",
-        "{\"index\":0,\"cell\":{\"benchmark\":\"health\"}}\n",
-        "{\"index\":2,\"cell\":{\"benchmark\":\"gs\"}}\n",
-    );
-
-    #[test]
-    fn journal_lines_are_checked_and_torn_tail_is_tolerated() {
-        let desc = validate_journal(JOURNAL).unwrap();
-        assert!(desc.contains("2/3 record(s)"), "{desc}");
-
-        // A crash mid-append leaves an unterminated final line: fine.
-        let torn = format!("{JOURNAL}{{\"index\":1,\"ce");
-        let desc = validate_journal(&torn).unwrap();
-        assert!(desc.contains("torn tail ignored"), "{desc}");
-
-        // A torn line *before* the end is corruption.
-        let mid = JOURNAL.replace("{\"index\":0,\"cell\":{\"benchmark\":\"health\"}}", "{\"ind");
-        let err = validate_journal(&mid).unwrap_err();
-        assert!(err.contains("line 2"), "{err}");
-
-        // Duplicate and out-of-range indices are errors.
-        let dup = format!("{JOURNAL}{{\"index\":2,\"cell\":{{}}}}\n");
-        assert!(validate_journal(&dup).unwrap_err().contains("duplicate"));
-        let oob = format!("{JOURNAL}{{\"index\":9,\"cell\":{{}}}}\n");
-        assert!(validate_journal(&oob).unwrap_err().contains("out of range"));
-
-        // A header whose grid disagrees with its total is an error.
-        let short = JOURNAL.replace("\"total\":3", "\"total\":4");
-        assert!(validate_journal(&short).unwrap_err().contains("grid has 3"));
-
-        // No committed header at all: error.
-        assert!(validate_journal("").is_err());
-        assert!(validate_journal("{\"schema\":\"psb-sweep-journal-v1\"").is_err());
-    }
-
-    #[test]
-    fn journal_files_are_sniffed_by_their_header_line() {
-        let path = std::env::temp_dir().join("xtask_validate_journal.jsonl");
-        std::fs::write(&path, JOURNAL).unwrap();
-        let desc = validate_file(path.to_str().unwrap()).unwrap();
-        assert!(desc.contains("sweep journal"), "{desc}");
-        let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn progress_snapshots_are_checked() {
-        let good = r#"{"schema":"psb-sweep-progress-v1","total":4,"done":2,
-            "replayed":1,"running":1,"workers_configured":2,"eta_micros":1500,
-            "seq":9,"workers":[
-              {"id":0,"state":"running","cell":"health/Base","index":2,
-               "done":1,"heartbeats":4,"last_seq":9},
-              {"id":1,"state":"idle","cell":"","index":null,
-               "done":0,"heartbeats":0,"last_seq":0}]}"#;
-        let desc = validate_progress(&json::parse(good).unwrap()).unwrap();
-        assert!(desc.contains("2/4 done"), "{desc}");
-
-        let over = good.replace("\"done\":2", "\"done\":9");
-        assert!(validate_progress(&json::parse(&over).unwrap())
-            .unwrap_err()
-            .contains("exceeds total"));
-        let bad_state = good.replace("\"idle\"", "\"sleeping\"");
-        assert!(validate_progress(&json::parse(&bad_state).unwrap())
-            .unwrap_err()
-            .contains("unexpected state"));
-        let bad_eta = good.replace("\"eta_micros\":1500", "\"eta_micros\":\"soon\"");
-        assert!(validate_progress(&json::parse(&bad_eta).unwrap())
-            .unwrap_err()
-            .contains("eta_micros"));
-    }
-
-    #[test]
     fn analyze_reports_are_checked_and_verdict_must_agree() {
         let good = r#"{"schema":"psb-analyze-v1","passes":["panics","locks","casts","rules"],
             "files":10,
@@ -527,7 +330,7 @@ mod tests {
                 {"id":"panics:a.rs:F::f:index","file":"a.rs","fn":"F::f","kind":"index",
                  "lines":[4,9],"baselined":true}]},
             "locks":{"classes":["sim/state"],"edges":[
-                {"from":"sim/state","to":"serve/slot","file":"b.rs","line":7,"via":"publish"}],
+                {"from":"sim/state","to":"sim/slot","file":"b.rs","line":7,"via":"publish"}],
                 "waits":1,"cycles":[]},
             "casts":{"scanned":50,"findings":[]},
             "rules":{"findings":[
