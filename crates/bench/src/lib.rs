@@ -1,11 +1,8 @@
-//! Shared plumbing for the experiment binaries that regenerate the
-//! paper's tables and figures.
-//!
-//! `views GRID OUTDIR` renders Table 2, Figures 5–9 and the prior-art
-//! comparison from a `psb-sweep-v1` grid (see `psb_sim::VIEWS`). The
-//! artifacts whose numbers are not all cells of that grid (`fig4`,
-//! `fig10`, `fig11` and the `ablate_*` ablations) have a binary each:
-//! `cargo run --release -p psb-bench --bin <name> [scale]`.
+//! The binaries that regenerate the paper's tables and figures, and the
+//! microbenchmark harness. `variants SCALE FILE` writes the grid of the
+//! cells the views read beyond the registry grid; `views GRID... OUTDIR`
+//! renders every results table but Figure 4 from grids (see
+//! `psb_sim::VIEWS`); `fig4 [scale]` analyzes miss streams functionally.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,4 +1,4 @@
-//! `views GRID OUTDIR`: exit 2 on a usage error, 1 on a grid it cannot
+//! `views GRID... OUTDIR`: exit 2 on a usage error, 1 on grids it cannot
 //! render (naming the cell), and one file per view otherwise.
 
 use std::path::PathBuf;
@@ -14,14 +14,18 @@ fn scratch(name: &str) -> PathBuf {
     dir
 }
 
+fn committed(grid: &str) -> PathBuf {
+    PathBuf::from(env!("CARGO_MANIFEST_DIR")).join("../../results").join(grid)
+}
+
 #[test]
 fn usage_errors_exit_2() {
-    for args in [&[][..], &["grid.json"], &["grid.json", "out", "extra"]] {
+    for args in [&[][..], &["grid.json"]] {
         let args: Vec<&std::ffi::OsStr> = args.iter().map(|a| a.as_ref()).collect();
         let out = views(&args);
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(2), "{args:?}: {stderr}");
-        assert!(stderr.contains("usage: views GRID OUTDIR"), "{stderr}");
+        assert!(stderr.contains("usage: views GRID... OUTDIR"), "{stderr}");
     }
 }
 
@@ -57,10 +61,32 @@ fn bad_grids_exit_1_and_write_nothing() {
 }
 
 #[test]
-fn the_committed_grid_renders_one_file_per_view() {
+fn a_capped_cell_exits_1_naming_it() {
+    let dir = scratch("capped");
+    let text = std::fs::read_to_string(committed("variants_scale2.json")).expect("committed grid");
+    let stamp = r#""config":"Base/16k4","scale":2,"#;
+    assert!(text.starts_with(&format!(
+        r#"{{"schema":"psb-sweep-v1","cells":[{{"benchmark":"health",{stamp}"#
+    )));
+    let capped = dir.join("capped.json");
+    let text = text.replacen(stamp, &format!(r#"{stamp}"max_commits":20000,"#), 1);
+    std::fs::write(&capped, text).expect("write grid");
+    let out_dir = dir.join("out");
+    std::fs::create_dir_all(&out_dir).expect("out dir");
+    let grids = [committed("shootout_scale2.json"), capped];
+    let out = views(&[grids[0].as_os_str(), grids[1].as_os_str(), out_dir.as_os_str()]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.contains("cell health/Base/16k4 ran under a commit cap"), "{stderr}");
+    assert_eq!(std::fs::read_dir(&out_dir).expect("out dir").count(), 0, "wrote a view");
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn the_committed_grids_render_one_file_per_view() {
     let dir = scratch("good");
-    let grid = concat!(env!("CARGO_MANIFEST_DIR"), "/../../results/shootout_scale2.json");
-    let out = views(&[grid.as_ref(), dir.as_os_str()]);
+    let grids = [committed("shootout_scale2.json"), committed("variants_scale2.json")];
+    let out = views(&[grids[0].as_os_str(), grids[1].as_os_str(), dir.as_os_str()]);
     assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
     for (name, _) in psb_sim::VIEWS {
         assert!(dir.join(format!("{name}.txt")).is_file(), "{name}.txt");

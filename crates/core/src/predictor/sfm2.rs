@@ -4,7 +4,7 @@
 //! "We examined using higher order Markov predictors as in [Joseph &
 //! Grunwald], but found that it provided little improvement, confirming
 //! their results." This module implements an order-2 variant so that
-//! claim can be re-verified (`cargo run -p psb-bench --bin ablate_order`).
+//! claim can be re-verified (the `ablate_order` view).
 
 use crate::predictor::{AllocInfo, MarkovTable, StreamPredictor, StreamState, StrideTable};
 use psb_common::{Addr, BlockAddr};

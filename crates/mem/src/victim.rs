@@ -3,7 +3,7 @@
 //! The paper's introduction lists victim caches alongside multi-level
 //! caches and prefetching as the standard miss-latency reducers; this
 //! implementation lets the simulator quantify how far a victim cache
-//! gets on the same workloads (`ablate_victim`) — spoiler: it recovers
+//! gets on the same workloads (the `ablate_victim` view) — spoiler: it recovers
 //! conflict misses, which the paper's pointer chases have few of.
 
 use crate::{Cache, CacheConfig};

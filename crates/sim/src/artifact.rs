@@ -122,15 +122,16 @@ pub fn sweep_report(cells: &[SweepCell], outcomes: &[SweepOutcome]) -> Json {
     Json::obj(vec![("schema", Json::str(SWEEP_SCHEMA)), ("cells", Json::Arr(entries))])
 }
 
-/// One cell's entry in the `psb-sweep-v1` `cells` array: coordinates
-/// plus aggregate statistics.
+/// One cell's entry in the `psb-sweep-v1` `cells` array: coordinates,
+/// the commit cap of a capped cell, and aggregate statistics.
 pub fn sweep_cell_entry(cell: &SweepCell, stats: &SimStats) -> Json {
-    Json::obj(vec![
+    let cap = (cell.max_commits != u64::MAX).then(|| ("max_commits", Json::u64(cell.max_commits)));
+    let coordinates = [
         ("benchmark", Json::str(cell.bench.name())),
         ("config", Json::str(cell.label())),
         ("scale", Json::u64(cell.scale as u64)),
-        ("aggregate", aggregate_json(stats)),
-    ])
+    ];
+    Json::obj(coordinates.into_iter().chain(cap).chain([("aggregate", aggregate_json(stats))]))
 }
 
 /// One cell read back from a `psb-sweep-v1` artifact: the coordinates
@@ -143,6 +144,8 @@ pub struct SweepEntry {
     pub config: String,
     /// Trace scale.
     pub scale: u32,
+    /// The commit cap of a capped cell; `None` for a whole-trace cell.
+    pub max_commits: Option<u64>,
     /// The `aggregate` object.
     pub aggregate: Json,
 }
@@ -169,6 +172,10 @@ pub enum GridError {
     Empty,
     /// This `benchmark/config` cell's trace scale differs from the first cell's.
     MixedScales(String),
+    /// This `benchmark/config` cell stopped at a commit cap, short of its trace.
+    Capped(String),
+    /// This `benchmark/config` cell appears more than once.
+    Duplicate(String),
     /// The grid lacks this `benchmark/config` cell, or the cell lacks this number.
     Missing(String, &'static str),
 }
@@ -181,6 +188,8 @@ impl std::fmt::Display for GridError {
             GridError::Cell(index, field) => write!(f, "cell {index} has no valid `{field}`"),
             GridError::Empty => f.write_str("the grid has no cells"),
             GridError::MixedScales(cell) => write!(f, "cell {cell} is at another trace scale"),
+            GridError::Capped(cell) => write!(f, "cell {cell} ran under a commit cap"),
+            GridError::Duplicate(cell) => write!(f, "cell {cell} appears twice"),
             GridError::Missing(cell, path) => write!(f, "the grid has no {path} for {cell}"),
         }
     }
@@ -191,7 +200,7 @@ impl std::error::Error for GridError {}
 /// Reads a `psb-sweep-v1` artifact back into its cells, in file order:
 /// the one reader of what [`sweep_report`] writes. Fails on text that is
 /// not JSON, carries another schema, or has a cell without its
-/// coordinates or aggregate.
+/// coordinates or aggregate, or with a cap that is not a count.
 pub fn read_sweep_report(text: &str) -> Result<Vec<SweepEntry>, GridError> {
     let doc = psb_obs::json::parse(text).map_err(GridError::Json)?;
     let cells = doc.get("cells").and_then(Json::as_arr);
@@ -203,10 +212,13 @@ pub fn read_sweep_report(text: &str) -> Result<Vec<SweepEntry>, GridError> {
         let field = |name| cell.get(name).ok_or(GridError::Cell(i, name));
         let text = |name| field(name)?.as_str().ok_or(GridError::Cell(i, name)).map(String::from);
         let scale = field("scale")?.as_u64().and_then(|s| u32::try_from(s).ok());
+        let cap =
+            cell.get("max_commits").map(|m| m.as_u64().ok_or(GridError::Cell(i, "max_commits")));
         Ok(SweepEntry {
             benchmark: text("benchmark")?,
             config: text("config")?,
             scale: scale.ok_or(GridError::Cell(i, "scale"))?,
+            max_commits: cap.transpose()?,
             aggregate: field("aggregate")?.clone(),
         })
     };
@@ -320,6 +332,7 @@ mod tests {
             assert_eq!(entry.benchmark, cell.bench.name());
             assert_eq!(entry.config, cell.label());
             assert_eq!(entry.scale, cell.scale);
+            assert_eq!(entry.max_commits, Some(12_000), "a capped cell records its cap");
             // The whole tree compares equal: every counter, every float.
             assert_eq!(entry.aggregate, aggregate_json(&out.stats));
             let s = &out.stats;
@@ -340,6 +353,11 @@ mod tests {
             assert_eq!(entry.num("l1d"), None, "an object is not a number");
         }
         assert_eq!(entries[1].config, "ConfAlloc-Priority/16k4");
+        let whole = SweepCell { max_commits: u64::MAX, ..cells[0] };
+        let text = sweep_cell_entry(&whole, &outcomes[0].stats).to_string();
+        assert!(!text.contains("max_commits"), "a whole-trace cell keeps the old bytes");
+        let doc = format!(r#"{{"schema":"psb-sweep-v1","cells":[{text}]}}"#);
+        assert_eq!(read_sweep_report(&doc).unwrap()[0].max_commits, None);
     }
 
     #[test]
@@ -360,6 +378,9 @@ mod tests {
         assert_eq!(read(bad_scale), Err(GridError::Cell(0, "scale")));
         let bad_name = r#"{"benchmark":7,"config":"Base","scale":1,"aggregate":{}}"#;
         assert_eq!(read(bad_name), Err(GridError::Cell(0, "benchmark")));
+        let bad_cap =
+            r#"{"benchmark":"gs","config":"Base","scale":1,"max_commits":-1,"aggregate":{}}"#;
+        assert_eq!(read(bad_cap), Err(GridError::Cell(0, "max_commits")));
         let text = read(no_aggregate).unwrap_err().to_string();
         assert_eq!(text, "cell 0 has no valid `aggregate`");
     }

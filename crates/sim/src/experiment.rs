@@ -1,9 +1,6 @@
-//! Helpers for running benchmark × configuration matrices.
+//! The experiment harness's shared constants and aggregates.
 
-use crate::{MachineConfig, PrefetcherKind, SimStats, Simulation};
-use psb_workloads::Benchmark;
-
-/// Default trace scale used by the experiment binaries (≈600k
+/// Default trace scale of `fig4` and of the committed grids (≈600k
 /// instructions per run — enough for predictor warm-up plus several
 /// steady-state laps of every benchmark's data structures).
 pub const DEFAULT_SCALE: u32 = 2;
@@ -12,18 +9,6 @@ pub const DEFAULT_SCALE: u32 = 2;
 /// mean: a cell can lose essentially everything (−100% and below clamps
 /// here) without poisoning the aggregate with a zero or negative factor.
 const MIN_SPEEDUP_FACTOR: f64 = 1e-6;
-
-/// Runs one (benchmark, machine) point. The trace comes from the shared
-/// cache ([`Benchmark::shared_trace`]), so repeated points on one
-/// benchmark pay for generation once.
-pub fn run_config(bench: Benchmark, config: MachineConfig, scale: u32) -> SimStats {
-    Simulation::new_shared(config, bench.shared_trace(scale), u64::MAX).run()
-}
-
-/// Runs one (benchmark, prefetcher) point on the baseline machine.
-pub fn run_point(bench: Benchmark, kind: PrefetcherKind, scale: u32) -> SimStats {
-    run_config(bench, MachineConfig::baseline().with_prefetcher(kind), scale)
-}
 
 /// Geometric-mean percent speedup across a set of per-benchmark speedups
 /// (how the paper aggregates "average speedup").
@@ -67,14 +52,5 @@ mod tests {
         // And ordinary negatives are untouched by the clamp.
         let mild = average_speedup_percent(&[-10.0, -10.0]);
         assert!((mild + 10.0).abs() < 1e-9, "{mild}");
-    }
-
-    #[test]
-    fn run_point_produces_stats() {
-        // Small smoke: cap the cost by using the cheapest benchmark at
-        // scale 1 with the null prefetcher.
-        let s = run_point(Benchmark::Turb3d, PrefetcherKind::None, 1);
-        assert!(s.cpu.committed >= 300_000);
-        assert!(s.ipc() > 0.0);
     }
 }

@@ -43,14 +43,14 @@ pub use artifact::{
 };
 pub use config::{MachineConfig, ParsePrefetcherError, PrefetcherKind};
 pub use eventlog::{MemEvent, MemEventKind, MemLog, SharedMemLog};
-pub use experiment::{average_speedup_percent, run_config, run_point, DEFAULT_SCALE};
+pub use experiment::{average_speedup_percent, DEFAULT_SCALE};
 pub use memsys::SimMemory;
 pub use pool::{run_ordered_tracked, PoolPanic};
 pub use report::{f2, pct, Table};
 pub use simulator::Simulation;
 pub use stats::SimStats;
 pub use sweep::{
-    paper_cells, run_sweep, run_sweep_with, shootout_cells, try_run_sweep_with, SweepCell,
-    SweepError, SweepOutcome, SweepProgress,
+    paper_cells, run_sweep, run_sweep_with, shootout_cells, try_run_sweep_with, PsbVariant,
+    SweepCell, SweepError, SweepOutcome, SweepProgress,
 };
-pub use views::{machine_banner, Grid, View, VIEWS};
+pub use views::{variant_cells, Grid, View, VIEWS};

@@ -140,9 +140,8 @@ impl SimMemory {
         Self::with_engine(config, config.prefetcher.build())
     }
 
-    /// Builds the memory system with a custom prefetch engine (used by
-    /// the ablation harness to sweep predictor/scheduler parameters that
-    /// [`crate::PrefetcherKind`] does not enumerate).
+    /// Builds the memory system with a custom prefetch engine, such as a
+    /// [`crate::PsbVariant`]'s, in place of `config.prefetcher`'s.
     pub fn with_engine(config: &MachineConfig, prefetcher: Box<dyn Prefetcher>) -> Self {
         let mem = &config.mem;
         SimMemory {

@@ -88,9 +88,8 @@ impl Simulation {
         self
     }
 
-    /// Replaces the configured prefetcher with a custom engine (for
-    /// ablation sweeps over parameters [`crate::PrefetcherKind`] does not
-    /// enumerate).
+    /// Replaces the configured prefetcher with a custom engine, such as a
+    /// [`crate::PsbVariant`] the registry does not enumerate.
     pub fn with_engine(mut self, engine: Box<dyn psb_core::Prefetcher>) -> Self {
         self.engine = Some(engine);
         self

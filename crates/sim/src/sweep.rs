@@ -31,6 +31,9 @@
 
 use crate::pool::run_ordered_tracked;
 use crate::{MachineConfig, PrefetcherKind, SimStats, Simulation};
+use psb_core::{AllocFilter, MarkovTable, Prefetcher, PsbPrefetcher, SbConfig};
+use psb_core::{Sfm2Predictor, SfmPredictor, StreamEngine, StrideTable};
+use psb_cpu::Disambiguation;
 use psb_obs::Obs;
 use psb_workloads::Benchmark;
 
@@ -47,12 +50,58 @@ pub struct SweepCell {
     /// Commit at most this many instructions (`u64::MAX` drains the
     /// trace — the figure-run default).
     pub max_commits: u64,
+    /// The engine to run in place of `config.prefetcher`'s, if any.
+    pub variant: Option<PsbVariant>,
+}
+
+/// A ConfAlloc-Priority stream engine with one design parameter moved
+/// off the paper's value (Section 4): the engines the ablation views read.
+#[derive(Copy, Clone, Debug, PartialEq, Eq)]
+pub enum PsbVariant {
+    /// This many stream buffers of this many entries each (paper: 8 × 4).
+    Buffers(usize, usize),
+    /// This confidence-allocation threshold θ (paper: 1).
+    Threshold(u32),
+    /// This priority bonus per hit and aging period in misses (paper: 2, 10).
+    Priority(u32, u64),
+    /// A Markov table of this many entries of this many bits (paper: 2048 × 16).
+    Markov(usize, u32),
+    /// The second-order Stride-Filtered Markov predictor (paper: first order).
+    Order2,
+}
+
+impl PsbVariant {
+    /// Builds the engine.
+    pub fn build(self) -> Box<dyn Prefetcher> {
+        let mut config = SbConfig::psb_conf_priority();
+        match self {
+            PsbVariant::Buffers(buffers, entries) => {
+                config.buffers = buffers;
+                config.entries_per_buffer = entries;
+            }
+            PsbVariant::Threshold(t) => config.filter = AllocFilter::Confidence { threshold: t },
+            PsbVariant::Priority(bonus, aging) => {
+                config.hit_bonus = bonus;
+                config.aging_period = aging;
+            }
+            PsbVariant::Markov(entries, bits) => {
+                let markov = MarkovTable::new(entries, bits);
+                let sfm = SfmPredictor::new(StrideTable::paper_baseline(), markov, config.block);
+                return Box::new(StreamEngine::new(config, sfm, format!("psb-{entries}x{bits}b")));
+            }
+            PsbVariant::Order2 => {
+                let sfm2 = Sfm2Predictor::paper_baseline();
+                return Box::new(StreamEngine::new(config, sfm2, "psb-order2".to_owned()));
+            }
+        }
+        Box::new(PsbPrefetcher::psb(config))
+    }
 }
 
 impl SweepCell {
     /// A cell that drains the whole trace.
     pub fn new(bench: Benchmark, config: MachineConfig, scale: u32) -> Self {
-        SweepCell { bench, config, scale, max_commits: u64::MAX }
+        SweepCell { bench, config, scale, max_commits: u64::MAX, variant: None }
     }
 
     /// Caps the cell at `max` committed instructions.
@@ -61,22 +110,51 @@ impl SweepCell {
         self
     }
 
-    /// A human/CSV label for the machine half of the cell: the
-    /// prefetcher's figure label, plus the L1D geometry when it deviates
-    /// from the paper baseline (e.g. `ConfAlloc-Priority/16k2`).
+    /// Runs `variant` in place of the registry engine, under the label of
+    /// ConfAlloc-Priority, the engine it varies.
+    pub fn with_variant(mut self, variant: PsbVariant) -> Self {
+        self.config.prefetcher = PrefetcherKind::PsbConfPriority;
+        self.variant = Some(variant);
+        self
+    }
+
+    /// The name of the machine half of the cell, in CSV rows and grid
+    /// entries: the prefetcher's figure label, then a suffix for each
+    /// part of the machine that deviates from the paper baseline — the
+    /// L1D geometry, no disambiguation, a victim cache and the engine
+    /// variant (e.g. `ConfAlloc-Priority/16k4`, `Base/nodis`,
+    /// `ConfAlloc-Priority/victim16`, `ConfAlloc-Priority/sb2x4`).
     pub fn label(&self) -> String {
-        let l1d = self.config.mem.l1d;
-        let base = MachineConfig::baseline().mem.l1d;
-        if l1d == base {
-            self.config.prefetcher.label().to_owned()
-        } else {
-            format!("{}/{}k{}", self.config.prefetcher.label(), l1d.size / 1024, l1d.assoc)
+        let (config, base) = (&self.config, MachineConfig::baseline());
+        let mut label = config.prefetcher.label().to_owned();
+        if config.mem.l1d != base.mem.l1d {
+            label += &format!("/{}k{}", config.mem.l1d.size / 1024, config.mem.l1d.assoc);
         }
+        if config.cpu.disambiguation == Disambiguation::WaitForStores {
+            label += "/nodis";
+        }
+        if config.victim_entries > 0 {
+            label += &format!("/victim{}", config.victim_entries);
+        }
+        let variant = match self.variant {
+            None => String::new(),
+            Some(PsbVariant::Buffers(buffers, entries)) => format!("/sb{buffers}x{entries}"),
+            Some(PsbVariant::Threshold(theta)) => format!("/theta{theta}"),
+            Some(PsbVariant::Priority(bonus, aging)) => format!("/bonus{bonus}-aging{aging}"),
+            Some(PsbVariant::Markov(entries, bits)) => format!("/markov{entries}x{bits}"),
+            Some(PsbVariant::Order2) => "/order2".to_owned(),
+        };
+        label + &variant
     }
 
     fn run(&self) -> SimStats {
         let trace = self.bench.shared_trace(self.scale);
-        Simulation::new_shared(self.config, trace, self.max_commits).run()
+        let sim = Simulation::new_shared(self.config, trace, self.max_commits);
+        match self.variant {
+            Some(variant) => sim.with_engine(variant.build()),
+            None => sim,
+        }
+        .run()
     }
 }
 
@@ -107,9 +185,11 @@ pub struct SweepProgress<'a> {
     pub wall_micros: u64,
 }
 
-/// A sweep cell whose simulation panicked, with enough identity to
-/// reproduce it: `psbsweep --benches <bench> --prefetchers <label>` at
-/// the reported scale re-runs exactly this cell.
+/// A sweep cell whose simulation panicked, named by benchmark, machine
+/// label and scale. `psbsweep --bench <benchmark> --prefetcher <name>
+/// --scale <scale>` re-runs a registry cell, where `<name>` is the CLI
+/// name of the label's engine (`conf-priority` for `ConfAlloc-Priority`,
+/// see [`PrefetcherKind::cli_name`]).
 #[derive(Clone, Debug)]
 pub struct SweepError {
     /// Submission index of the failing cell.
@@ -424,6 +504,41 @@ mod tests {
             1,
         );
         assert_eq!(small.label(), "Base/16k4");
+        let nodis = MachineConfig::baseline().with_disambiguation(Disambiguation::WaitForStores);
+        let every = nodis.with_l1d(psb_mem::CacheConfig::l1d_32k_2way()).with_victim_cache(16);
+        let cell = |config| SweepCell::new(Benchmark::Health, config, 1);
+        assert_eq!(cell(nodis).label(), "Base/nodis");
+        assert_eq!(cell(every).label(), "Base/32k2/nodis/victim16");
+        for (variant, suffix) in [
+            (PsbVariant::Buffers(2, 4), "/sb2x4"),
+            (PsbVariant::Threshold(0), "/theta0"),
+            (PsbVariant::Priority(1, 10), "/bonus1-aging10"),
+            (PsbVariant::Markov(256, 16), "/markov256x16"),
+            (PsbVariant::Order2, "/order2"),
+        ] {
+            let label = cell(MachineConfig::baseline()).with_variant(variant).label();
+            assert_eq!(label, format!("ConfAlloc-Priority{suffix}"));
+        }
+    }
+
+    #[test]
+    fn variants_at_the_paper_point_run_the_registry_engine() {
+        let psb = MachineConfig::baseline().with_prefetcher(PrefetcherKind::PsbConfPriority);
+        let registry = SweepCell::new(Benchmark::Turb3d, psb, 1).with_max_commits(50_000);
+        let paper = [
+            PsbVariant::Buffers(8, 4),
+            PsbVariant::Threshold(1),
+            PsbVariant::Priority(2, 10),
+            PsbVariant::Markov(2048, 16),
+        ];
+        let cells: Vec<_> =
+            [registry].into_iter().chain(paper.map(|v| registry.with_variant(v))).collect();
+        let outcomes = run_sweep(&cells, 2);
+        let entry = |i: usize| crate::sweep_cell_entry(&registry, &outcomes[i].stats).to_string();
+        assert!(outcomes[0].stats.prefetch.issued > 0, "the cell must prefetch");
+        for (i, cell) in cells.iter().enumerate().skip(1) {
+            assert_eq!(entry(i), entry(0), "{}", cell.label());
+        }
     }
 
     #[test]

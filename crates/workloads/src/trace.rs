@@ -160,9 +160,15 @@ impl TraceBuilder {
     }
 }
 
-/// Checks the program-order invariant [`DynInst`] documents over a full
-/// trace: each instruction sits at its predecessor's
-/// [`DynInst::next_pc`], `pc + 4` or the target of a taken branch.
+/// Checks two invariants over a full trace:
+///
+/// * program order, as [`DynInst`] documents it: each instruction sits
+///   at its predecessor's [`DynInst::next_pc`], `pc + 4` or the target
+///   of a taken branch;
+/// * natural alignment: each memory op's address is a multiple of its
+///   size, as the Alpha's loads and stores must be. An aligned access of
+///   at most 8 bytes never crosses a cache block of any size the
+///   simulator builds, and the simulator serves an access from one block.
 ///
 /// Every generator's output is checked with this in tests, and `psbsim
 /// --load` checks every PSBT archive it reads.
@@ -170,22 +176,25 @@ impl TraceBuilder {
 /// # Errors
 ///
 /// Returns `InvalidData` naming the first instruction that does not
-/// follow its predecessor.
+/// follow its predecessor or is not aligned.
 pub fn validate_trace(trace: &[DynInst]) -> io::Result<()> {
-    for (i, pair) in trace.windows(2).enumerate() {
-        if let [prev, inst] = pair {
-            if inst.pc != prev.next_pc() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!(
-                        "instruction {}: pc {} does not follow instruction {i} (expected {})",
-                        i + 1,
-                        inst.pc,
-                        prev.next_pc()
-                    ),
-                ));
-            }
+    let invalid = |message| Err(io::Error::new(io::ErrorKind::InvalidData, message));
+    let mut follows: Option<Addr> = None;
+    for (i, inst) in trace.iter().enumerate() {
+        if let Some(expected) = follows.filter(|&pc| pc != inst.pc) {
+            return invalid(format!(
+                "instruction {i}: pc {} does not follow instruction {} (expected {expected})",
+                inst.pc,
+                i - 1
+            ));
         }
+        let size = u64::from(inst.mem_size);
+        if let Some(addr) = inst.mem_addr.filter(|a| size != 0 && a.raw() % size != 0) {
+            return invalid(format!(
+                "instruction {i}: {size}-byte access at {addr} is not aligned to its size"
+            ));
+        }
+        follows = Some(inst.next_pc());
     }
     Ok(())
 }
@@ -319,6 +328,28 @@ mod tests {
         let err = validate_trace(&t).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData);
         assert!(err.to_string().starts_with("instruction 1: "), "{err}");
+    }
+
+    #[test]
+    fn memory_ops_must_be_naturally_aligned() {
+        let mut b = TraceBuilder::new(Addr::new(0x100));
+        b.load(1, None, Addr::new(0x9000));
+        b.store(Some(1), None, Addr::new(0x9008));
+        let mut t = b.finish();
+        validate_trace(&t).unwrap();
+        for (addr, size) in [(0x9004, 8), (0x9006, 4), (0x9003, 2)] {
+            t[1].mem_addr = Some(Addr::new(addr));
+            t[1].mem_size = size;
+            let err = validate_trace(&t).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData);
+            assert!(err.to_string().starts_with("instruction 1: "), "{err}");
+            assert!(err.to_string().contains("not aligned"), "{err}");
+        }
+        for (addr, size) in [(0x9004, 4), (0x9006, 2), (0x9003, 1)] {
+            t[1].mem_addr = Some(Addr::new(addr));
+            t[1].mem_size = size;
+            validate_trace(&t).unwrap();
+        }
     }
 
     #[test]

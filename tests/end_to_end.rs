@@ -279,15 +279,26 @@ fn psbsim_and_psbsweep_reject_a_zero_scale() {
 
 #[test]
 fn psbsim_load_rejects_a_bad_memory_op() {
-    // A zero size byte and a range past u64::MAX used to decode and
-    // simulate; both now fail the load, naming the instruction.
+    // A zero size byte, a range past u64::MAX and an access that is not
+    // naturally aligned used to decode and simulate; each now fails the
+    // load before simulating, naming the instruction. The aligned case
+    // keeps its loads in program order, so only the alignment is wrong.
     use psb::common::Addr;
     use psb::cpu::{DynInst, Reg};
     let load =
-        |addr, size| DynInst::load(Addr::new(0x400), Reg::new(1), None, Addr::new(addr), size);
+        |pc, addr, size| DynInst::load(Addr::new(pc), Reg::new(1), None, Addr::new(addr), size);
     for (name, trace, msg) in [
-        ("size", [load(0x1000, 8), load(0x1008, 0)], "instruction 1: memory size 0"),
-        ("wrap", [load(0x1000, 8), load(u64::MAX - 3, 8)], "instruction 1: 8-byte access"),
+        ("size", [load(0x400, 0x1000, 8), load(0x400, 0x1008, 0)], "instruction 1: memory size 0"),
+        (
+            "wrap",
+            [load(0x400, 0x1000, 8), load(0x400, u64::MAX - 3, 8)],
+            "instruction 1: 8-byte access",
+        ),
+        (
+            "align",
+            [load(0x400, 0x1000, 8), load(0x404, 0x103c, 8)],
+            "instruction 1: 8-byte access at 0x103c is not aligned",
+        ),
     ] {
         let path = std::env::temp_dir().join(format!("psb-{name}-{}.psbt", std::process::id()));
         let mut buf = Vec::new();
@@ -302,6 +313,7 @@ fn psbsim_load_rejects_a_bad_memory_op() {
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert_eq!(out.status.code(), Some(1), "{name}: {stderr}");
         assert!(stderr.contains(msg), "{name}: {stderr}");
+        assert!(!stderr.contains("simulating"), "{name}: {stderr}");
     }
 }
 

@@ -1,6 +1,6 @@
 //! The golden gate for `results/`: full sweep cells must reproduce their
 //! committed entries byte for byte, and every view must render its
-//! committed `results/<name>.txt` from the committed scale-2 grid.
+//! committed `results/<name>.txt` from the committed scale-2 grids.
 //!
 //! The committed files under `results/` are the goldens. CI's `golden`
 //! job regenerates every one of them and compares; this tier-1 subset
@@ -10,18 +10,22 @@
 //! `results/shootout_scale2.json`. At scale 1 it also runs sis, which
 //! waits on memory for most of its cycles and so exercises the
 //! pipeline's idle-cycle skip most, under no prefetching and under
-//! demand-Markov. A deliberate change to the simulated
+//! demand-Markov. Against `results/variants_scale2.json` it runs turb3d
+//! without disambiguation, with a victim cache and under the
+//! second-order Markov engine. A deliberate change to the simulated
 //! numbers re-runs the commands in EXPERIMENTS.md, commits their output
 //! and says why.
 
+use psb::cpu::Disambiguation;
 use psb::sim::{
-    read_sweep_report, run_sweep, sweep_cell_entry, Grid, MachineConfig, PrefetcherKind, SweepCell,
-    VIEWS,
+    read_sweep_report, run_sweep, sweep_cell_entry, Grid, MachineConfig, PrefetcherKind,
+    PsbVariant, SweepCell, VIEWS,
 };
 use psb::workloads::Benchmark;
 
 const SHOOTOUT: &str = include_str!("../results/shootout.json");
 const SHOOTOUT_SCALE2: &str = include_str!("../results/shootout_scale2.json");
+const VARIANTS_SCALE2: &str = include_str!("../results/variants_scale2.json");
 
 /// Runs `cells` and requires each one's entry to appear verbatim in `grid`.
 fn assert_cells_in(grid: &str, file: &str, cells: &[SweepCell]) {
@@ -64,8 +68,26 @@ fn scale2_cells_reproduce_the_committed_grid() {
 }
 
 #[test]
+fn variant_cells_reproduce_the_committed_grid() {
+    let base = MachineConfig::baseline();
+    let psb = base.with_prefetcher(PrefetcherKind::PsbConfPriority);
+    let cells = [
+        SweepCell::new(
+            Benchmark::Turb3d,
+            base.with_disambiguation(Disambiguation::WaitForStores),
+            2,
+        ),
+        SweepCell::new(Benchmark::Turb3d, psb.with_victim_cache(16), 2),
+        SweepCell::new(Benchmark::Turb3d, base, 2).with_variant(PsbVariant::Order2),
+    ];
+    assert_cells_in(VARIANTS_SCALE2, "results/variants_scale2.json", &cells);
+}
+
+#[test]
 fn every_view_renders_its_committed_results_file() {
-    let grid = read_sweep_report(SHOOTOUT_SCALE2).and_then(Grid::new).expect("a one-scale grid");
+    let cells = [SHOOTOUT_SCALE2, VARIANTS_SCALE2].map(|text| read_sweep_report(text).unwrap());
+    let grid = Grid::new(cells.concat()).expect("whole-trace cells at one scale");
+    assert_eq!(VIEWS.len(), 14);
     for (name, view) in VIEWS {
         let path = format!("{}/results/{name}.txt", env!("CARGO_MANIFEST_DIR"));
         let committed = std::fs::read_to_string(&path).expect("every view has a results file");

@@ -11,7 +11,8 @@
 //!   entries carry the keys Perfetto requires per phase.
 //! * `psb-bench-v1` — the bench harness's `BENCH_psb.json`.
 //! * `psb-sweep-v1` — `psbsweep --json`: one entry per grid cell with
-//!   the cell's coordinates and aggregate statistics.
+//!   the cell's coordinates, its commit cap if it has one, and aggregate
+//!   statistics.
 //! * `psb-analyze-v1` — `cargo xtask analyze --report`: per-pass
 //!   finding lists (panic-freedom, lock-order, cast safety, source
 //!   rules), the baseline accounting, and the gate verdict — which must
@@ -153,6 +154,10 @@ fn validate_sweep(doc: &Json) -> Result<String, String> {
             .and_then(|b| b.as_str().ok_or_else(|| "`config` is not a string".to_string()))
             .map_err(|m| format!("cells[{i}]: {m}"))?;
         require_u64(c, "scale").map_err(|m| format!("cells[{i}]: {m}"))?;
+        // A capped cell records its cap; a whole-trace cell has none.
+        if c.get("max_commits").is_some() {
+            require_u64(c, "max_commits").map_err(|m| format!("cells[{i}]: {m}"))?;
+        }
         let agg = require(c, "aggregate").map_err(|m| format!("cells[{i}]: {m}"))?;
         let cycles = require_u64(agg, "cycles").map_err(|m| format!("cells[{i}]: {m}"))?;
         if cycles == 0 {
@@ -320,6 +325,12 @@ mod tests {
         let bad = r#"{"schema":"psb-sweep-v1","cells":[{"benchmark":"health"}]}"#;
         let err = validate_sweep(&json::parse(bad).unwrap()).unwrap_err();
         assert!(err.contains("config"), "{err}");
+
+        let capped = good.replace("\"scale\":1,", "\"scale\":1,\"max_commits\":200000,");
+        assert!(validate_sweep(&json::parse(&capped).unwrap()).is_ok());
+        let bad_cap = json::parse(&capped.replace("200000", "\"all\"")).unwrap();
+        let err = validate_sweep(&bad_cap).unwrap_err();
+        assert!(err.contains("cells[0]: `max_commits` is not an unsigned integer"), "{err}");
     }
 
     #[test]
