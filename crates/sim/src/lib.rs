@@ -50,7 +50,7 @@ pub use report::{f2, pct, Table};
 pub use simulator::Simulation;
 pub use stats::SimStats;
 pub use sweep::{
-    paper_cells, run_sweep, run_sweep_with, shootout_cells, try_run_sweep_with, PsbVariant,
-    SweepCell, SweepError, SweepOutcome, SweepProgress,
+    paper_cells, run_sweep, shootout_cells, try_run_sweep_with, PsbVariant, SweepCell, SweepError,
+    SweepOutcome, SweepProgress,
 };
 pub use views::{variant_cells, Grid, View, VIEWS};

@@ -170,7 +170,7 @@ pub struct SweepOutcome {
 }
 
 /// Completion notification handed to the progress callback of
-/// [`run_sweep_with`], in completion order on the coordinating thread.
+/// [`try_run_sweep_with`], in completion order on the coordinating thread.
 #[derive(Copy, Clone, Debug)]
 pub struct SweepProgress<'a> {
     /// Submission index of the finished cell.
@@ -261,36 +261,27 @@ fn effective_threads(requested: usize, cells: usize) -> usize {
 /// Runs every cell across a worker pool and returns the outcomes in
 /// submission order. `threads == 0` uses one worker per available core.
 ///
-/// See [`run_sweep_with`] for progress callbacks and observability.
-pub fn run_sweep(cells: &[SweepCell], threads: usize) -> Vec<SweepOutcome> {
-    run_sweep_with(cells, threads, None, |_| {})
-}
-
-/// [`run_sweep`] with instrumentation: `obs`, when present, receives the
-/// per-cell progress counters (`sweep.cells_total` / `sweep.cells_completed`
-/// counters and the `sweep.cell_micros` histogram), and `on_done` is
-/// invoked once per finished cell, in completion order, on the calling
-/// thread — binaries hang their progress output here, keeping the
-/// library print-free.
+/// See [`try_run_sweep_with`] for progress callbacks and observability.
 ///
 /// # Panics
 ///
 /// Panics with the formatted [`SweepError`] when a worker panics; use
 /// [`try_run_sweep_with`] to handle that case (and exit non-zero with a
 /// message naming the cell, as `psbsweep` does).
-pub fn run_sweep_with(
-    cells: &[SweepCell],
-    threads: usize,
-    obs: Option<&Obs>,
-    on_done: impl FnMut(SweepProgress<'_>),
-) -> Vec<SweepOutcome> {
-    try_run_sweep_with(cells, threads, obs, on_done).unwrap_or_else(|e| panic!("{e}"))
+pub fn run_sweep(cells: &[SweepCell], threads: usize) -> Vec<SweepOutcome> {
+    try_run_sweep_with(cells, threads, None, |_| {}).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`run_sweep_with`] returning a [`SweepError`] instead of panicking
-/// when a cell's simulation panics. The sweep still drains every
-/// remaining cell and joins every worker before reporting; with several
-/// failures the smallest submission index wins deterministically.
+/// [`run_sweep`] with instrumentation, returning a [`SweepError`]
+/// instead of panicking when a cell's simulation panics. `obs`, when
+/// present, receives the per-cell progress counters
+/// (`sweep.cells_total` / `sweep.cells_completed` counters and the
+/// `sweep.cell_micros` histogram), and `on_done` is invoked once per
+/// finished cell, in completion order, on the calling thread —
+/// binaries hang their progress output here, keeping the library
+/// print-free. The sweep still drains every remaining cell and joins
+/// every worker before reporting; with several failures the smallest
+/// submission index wins deterministically.
 pub fn try_run_sweep_with(
     cells: &[SweepCell],
     threads: usize,
@@ -416,10 +407,11 @@ mod tests {
         let cells = small_grid();
         let obs = Obs::new();
         let mut seen = Vec::new();
-        let outcomes = run_sweep_with(&cells, 2, Some(&obs), |p| {
+        let outcomes = try_run_sweep_with(&cells, 2, Some(&obs), |p| {
             assert_eq!(p.total, cells.len());
             seen.push((p.index, p.done));
-        });
+        })
+        .expect("no cell of the small grid panics");
         assert_eq!(outcomes.len(), cells.len());
         // Every submission index reported exactly once; `done` counts up.
         let mut indices: Vec<usize> = seen.iter().map(|&(i, _)| i).collect();

@@ -9,10 +9,11 @@
 //!
 //! `scale` multiplies trace length (default 1 ≈ 300k instructions per
 //! benchmark; the bench harness uses 2). All cells run concurrently on
-//! the sweep work queue (`psb::sim::run_sweep`), sharing one generated
-//! trace per benchmark; the printed table is identical to a serial run.
+//! the sweep work queue (`psb::sim::try_run_sweep_with`), sharing one
+//! generated trace per benchmark; the printed table is identical to a
+//! serial run. A panicking cell exits 1 with a message naming it.
 
-use psb::sim::{run_sweep_with, shootout_cells, PrefetcherKind, Table};
+use psb::sim::{shootout_cells, try_run_sweep_with, PrefetcherKind, Table};
 use psb::workloads::Benchmark;
 
 fn main() {
@@ -23,8 +24,12 @@ fn main() {
     let mut table = Table::new(headers);
 
     let cells = shootout_cells(&Benchmark::ALL, scale);
-    let outcomes = run_sweep_with(&cells, 0, None, |p| {
+    let sweep = try_run_sweep_with(&cells, 0, None, |p| {
         eprintln!("[{}/{}] {}/{}", p.done, p.total, p.cell.bench.name(), p.cell.label());
+    });
+    let outcomes = sweep.unwrap_or_else(|e| {
+        eprintln!("prefetcher_shootout: {e}");
+        std::process::exit(1);
     });
 
     // Registry row 0 is the no-prefetch baseline each other cell compares to.

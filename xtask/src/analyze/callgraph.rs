@@ -32,7 +32,6 @@ pub struct CallGraph {
     pub nodes: Vec<FnRef>,
     /// `edges[n]` = indices of the nodes `n` may call, deduplicated.
     pub edges: Vec<Vec<usize>>,
-    by_name: BTreeMap<String, Vec<usize>>,
 }
 
 impl CallGraph {
@@ -68,12 +67,7 @@ impl CallGraph {
             }
             edges.push(out.into_iter().collect());
         }
-        CallGraph { nodes, edges, by_name }
-    }
-
-    /// Node indices whose bare fn name is `name`.
-    pub fn named(&self, name: &str) -> &[usize] {
-        self.by_name.get(name).map(Vec::as_slice).unwrap_or(&[])
+        CallGraph { nodes, edges }
     }
 
     /// Every node reachable from `roots` (inclusive), breadth-first.
@@ -104,6 +98,12 @@ mod tests {
         CallGraph::build(ws, |_| true)
     }
 
+    /// The nodes whose bare fn name is `name`.
+    fn named(ws: &Workspace, g: &CallGraph, name: &str) -> Vec<usize> {
+        let is = |r: &FnRef| ws.files[r.file].tree.fns[r.item].name == name;
+        (0..g.nodes.len()).filter(|&n| is(&g.nodes[n])).collect()
+    }
+
     fn reach_quals(ws: &Workspace, g: &CallGraph, roots: &[usize]) -> Vec<String> {
         g.reachable(roots)
             .into_iter()
@@ -130,7 +130,7 @@ mod tests {
              fn run(e: &dyn Engine) { e.step(); }\n",
         )]);
         let g = graph(&w);
-        let roots = g.named("run").to_vec();
+        let roots = named(&w, &g, "run");
         let reached = reach_quals(&w, &g, &roots);
         assert!(reached.contains(&"Bad::step".to_string()), "{reached:?}");
         assert!(reached.contains(&"Safe::step".to_string()), "{reached:?}");
@@ -157,7 +157,7 @@ mod tests {
             ),
         ]);
         let g = graph(&w);
-        let roots = g.named("drive").to_vec();
+        let roots = named(&w, &g, "drive");
         let reached = reach_quals(&w, &g, &roots);
         assert!(reached.contains(&"Cache::probe".to_string()), "{reached:?}");
         assert!(reached.contains(&"danger".to_string()), "{reached:?}");
@@ -174,7 +174,7 @@ mod tests {
         )]);
         let g = graph(&w);
         assert_eq!(g.nodes.len(), 1);
-        assert!(g.named("t").is_empty());
+        assert!(named(&w, &g, "t").is_empty());
     }
 
     /// Unreached code stays unreached: reachability is rooted, not
@@ -186,7 +186,7 @@ mod tests {
             "fn root() { used(); }\nfn used() {}\nfn dead() { panic!() }\n",
         )]);
         let g = graph(&w);
-        let roots = g.named("root").to_vec();
+        let roots = named(&w, &g, "root");
         let reached = reach_quals(&w, &g, &roots);
         assert_eq!(reached, ["root", "used"], "{reached:?}");
     }
@@ -196,7 +196,7 @@ mod tests {
     fn recursion_is_handled() {
         let w = ws(&[("crates/core/src/x.rs", "fn f(n: u32) { if n > 0 { f(n - 1); } }\n")]);
         let g = graph(&w);
-        let roots = g.named("f").to_vec();
+        let roots = named(&w, &g, "f");
         assert_eq!(g.reachable(&roots).len(), 1);
     }
 }

@@ -1,4 +1,4 @@
-//! Pass 3: cast/unit safety.
+//! Pass 2: cast/unit safety.
 //!
 //! The address (`Addr`) and cycle newtypes exist so raw `u64`s never
 //! carry unit meaning around the workspace. Two constructs erode that

@@ -1,7 +1,7 @@
 //! `cargo xtask analyze` — token-tree semantic analysis over the whole
 //! workspace, the repository's one static checker.
 //!
-//! Four passes, all built on the shared [`crate::lexer`] and the
+//! Three passes, all built on the shared [`crate::lexer`] and the
 //! [`tokentree`] layer (no rustc, no syn — xtask stays zero-dep and
 //! offline):
 //!
@@ -10,28 +10,25 @@
 //!    flagging every reachable `unwrap`/`expect`/`panic!`/indexing/
 //!    division site, plus every `.unwrap()` and unjustified `.expect()`
 //!    in the crates that model the machine.
-//! 2. [`locks`] — static lock-order: acquisition orders across the
-//!    threaded crates, failing outright on any cycle.
-//! 3. [`casts`] — cast/unit safety: truncating `as` casts and raw-unit
+//! 2. [`casts`] — cast/unit safety: truncating `as` casts and raw-unit
 //!    arithmetic outside the `Addr`/cycle newtype boundary, and raw
 //!    address arithmetic anywhere.
-//! 4. [`rules`] — source rules: report determinism, console output,
-//!    host clocks, the model-checker shims, and public docs.
+//! 3. [`rules`] — source rules: report determinism, console output,
+//!    host clocks, the model-checker shims, locks outside `psb-model`
+//!    and the harnesses, and public docs.
 //!
 //! Every finding is a `<pass>:<file>:<fn>:<kind>` group of sites (see
 //! [`Sites::group`]) gated against one committed allow-list,
 //! `PANICS.toml` (schema `psb-analyze-v1`, `[[allow]]` stanzas with
 //! mandatory reasons — same discipline as `MUTANTS.toml`). New findings
 //! fail the run with paste-ready stanzas, and so does a stale entry, so
-//! no excuse outlives the code it excuses. Lock cycles are never
-//! baselineable.
+//! no excuse outlives the code it excuses.
 //!
 //! `--report FILE` writes a `psb-analyze-v1` JSON report that
 //! `cargo xtask validate-artifacts` knows how to shape-check.
 
 pub mod callgraph;
 pub mod casts;
-pub mod locks;
 pub mod panics;
 pub mod rules;
 pub mod tokentree;
@@ -166,8 +163,6 @@ fn krate_of(rel: &str) -> String {
 pub enum Pass {
     /// Hot-path panic-freedom.
     Panics,
-    /// Static lock-order.
-    Locks,
     /// Cast/unit safety.
     Casts,
     /// Source rules.
@@ -176,13 +171,12 @@ pub enum Pass {
 
 impl Pass {
     /// All passes, in run order.
-    pub const ALL: [Pass; 4] = [Pass::Panics, Pass::Locks, Pass::Casts, Pass::Rules];
+    pub const ALL: [Pass; 3] = [Pass::Panics, Pass::Casts, Pass::Rules];
 
     /// The CLI / finding-ID name.
     pub fn name(self) -> &'static str {
         match self {
             Pass::Panics => "panics",
-            Pass::Locks => "locks",
             Pass::Casts => "casts",
             Pass::Rules => "rules",
         }
@@ -199,10 +193,8 @@ pub struct Outcome {
     /// Pass 1 results, when run.
     pub panics: Option<panics::PanicsReport>,
     /// Pass 2 results, when run.
-    pub locks: Option<locks::LocksReport>,
-    /// Pass 3 results, when run.
     pub casts: Option<casts::CastsReport>,
-    /// Pass 4 findings, when run.
+    /// Pass 3 findings, when run.
     pub rules: Option<Vec<Finding>>,
     /// Findings not covered by the baseline (gate failures).
     pub new: Vec<Finding>,
@@ -214,19 +206,15 @@ pub struct Outcome {
 }
 
 impl Outcome {
-    /// True when the gate passes: no new findings, no stale entries, no
-    /// lock cycles.
+    /// True when the gate passes: no new findings and no stale entries.
     pub fn ok(&self) -> bool {
-        self.new.is_empty()
-            && self.stale.is_empty()
-            && self.locks.as_ref().is_none_or(|l| l.cycles.is_empty())
+        self.new.is_empty() && self.stale.is_empty()
     }
 }
 
 /// Runs `passes` over `ws` and gates their findings against `baseline`.
 pub fn evaluate(ws: &Workspace, passes: &[Pass], baseline: &BaselineFile) -> Outcome {
     let panics = passes.contains(&Pass::Panics).then(|| panics::run(ws));
-    let locks = passes.contains(&Pass::Locks).then(|| locks::run(ws));
     let casts = passes.contains(&Pass::Casts).then(|| casts::run(ws));
     let rules = passes.contains(&Pass::Rules).then(|| rules::run(ws));
 
@@ -258,14 +246,14 @@ pub fn evaluate(ws: &Workspace, passes: &[Pass], baseline: &BaselineFile) -> Out
         })
         .cloned()
         .collect();
-    Outcome { panics, locks, casts, rules, new, baselined, stale }
+    Outcome { panics, casts, rules, new, baselined, stale }
 }
 
 /// `cargo xtask analyze` entry point.
 pub fn analyze(args: &[String]) -> ExitCode {
     let Some(opts) = Opts::parse(args) else {
         eprintln!(
-            "usage: cargo xtask analyze [--pass panics|locks|casts|rules] [--baseline FILE] \
+            "usage: cargo xtask analyze [--pass panics|casts|rules] [--baseline FILE] \
              [--report FILE]"
         );
         return ExitCode::from(2);
@@ -293,22 +281,6 @@ pub fn analyze(args: &[String]) -> ExitCode {
             p.reachable,
             p.findings.len()
         );
-    }
-    if let Some(l) = &out.locks {
-        println!(
-            "xtask analyze: locks: {} class(es), {} edge(s), {} wait(s), {} cycle(s)",
-            l.classes.len(),
-            l.edges.len(),
-            l.waits,
-            l.cycles.len()
-        );
-        for e in &l.edges {
-            let via = e.via.as_deref().map(|v| format!(" via {v}()")).unwrap_or_default();
-            println!("  order {} -> {}{via}  ({}:{})", e.from, e.to, e.file, e.line);
-        }
-        for c in &l.cycles {
-            eprintln!("xtask analyze: LOCK CYCLE: {} -> {}", c.join(" -> "), c[0]);
-        }
     }
     if let Some(c) = &out.casts {
         println!(
@@ -423,33 +395,6 @@ fn report_json(ws: &Workspace, passes: &[Pass], out: &Outcome) -> Json {
             ]),
         ));
     }
-    if let Some(l) = &out.locks {
-        fields.push((
-            "locks",
-            Json::obj([
-                ("classes", Json::arr(l.classes.iter().map(|c| Json::str(&**c)))),
-                (
-                    "edges",
-                    Json::arr(l.edges.iter().map(|e| {
-                        Json::obj([
-                            ("from", Json::str(&*e.from)),
-                            ("to", Json::str(&*e.to)),
-                            ("file", Json::str(&*e.file)),
-                            ("line", Json::u64(e.line as u64)),
-                            ("via", e.via.as_deref().map_or(Json::Null, Json::str)),
-                        ])
-                    })),
-                ),
-                ("waits", Json::u64(l.waits as u64)),
-                (
-                    "cycles",
-                    Json::arr(
-                        l.cycles.iter().map(|c| Json::arr(c.iter().map(|s| Json::str(&**s)))),
-                    ),
-                ),
-            ]),
-        ));
-    }
     if let Some(c) = &out.casts {
         fields.push((
             "casts",
@@ -525,22 +470,6 @@ mod tests {
         assert!(casts_only.stale.is_empty(), "{:?}", casts_only.stale);
     }
 
-    /// Teeth: a lock cycle fails the gate even with an empty-new run —
-    /// cycles are not baselineable.
-    #[test]
-    fn lock_cycle_fails_regardless_of_baseline() {
-        let ws = Workspace::from_sources(&[(
-            "crates/model/src/x.rs",
-            "impl S {\n\
-                 fn f(&self) { let a = self.alpha.lock(); let b = self.beta.lock(); }\n\
-                 fn g(&self) { let b = self.beta.lock(); let a = self.alpha.lock(); }\n\
-             }\n",
-        )]);
-        let out = evaluate(&ws, &[Pass::Locks], &BaselineFile::default());
-        assert!(out.new.is_empty());
-        assert!(!out.ok());
-    }
-
     /// Teeth: a seeded truncating cast fails via the casts pass.
     #[test]
     fn seeded_cast_defect_fails_the_gate() {
@@ -582,16 +511,25 @@ mod tests {
         assert!(out.ok() && out.baselined == 0, "{:?}", out.new);
     }
 
-    /// Teeth: a seeded source-rule defect fails the gate via the rules
-    /// pass, under its fn.
+    /// Teeth: each seeded source-rule defect fails the gate on its own
+    /// via the rules pass: console output in a library crate, and a
+    /// shim `Mutex` in the simulator.
     #[test]
     fn seeded_rule_defect_fails_the_gate() {
-        let ws =
-            Workspace::from_sources(&[("crates/obs/src/x.rs", "fn f() { println!(\"x\"); }\n")]);
-        let out = evaluate(&ws, &[Pass::Rules], &BaselineFile::default());
-        assert_eq!(out.new.len(), 1, "{:?}", out.new);
-        assert_eq!(out.new[0].id, "rules:crates/obs/src/x.rs:f:println");
-        assert!(!out.ok());
+        let gate = "static GATE: psb_model::sync::Mutex<u8> = psb_model::sync::Mutex::new(0);\n";
+        for (rel, src, id) in [
+            ("crates/obs/src/x.rs", "fn f() { println!(\"x\"); }\n", "f:println"),
+            ("crates/sim/src/ci_seeded_defect.rs", gate, ":lock"),
+        ] {
+            let out = evaluate(
+                &Workspace::from_sources(&[(rel, src)]),
+                &[Pass::Rules],
+                &BaselineFile::default(),
+            );
+            let ids: Vec<&str> = out.new.iter().map(|f| f.id.as_str()).collect();
+            assert_eq!(ids, [format!("rules:{rel}:{id}")]);
+            assert!(!out.ok());
+        }
     }
 
     /// Crate names derive from the path layout.

@@ -1,6 +1,6 @@
-//! Pass 4: source rules.
+//! Pass 3: source rules.
 //!
-//! Five checks on the token tree, which already drops comments and
+//! Six checks on the token tree, which already drops comments and
 //! string bodies and marks test code, so none of them fires on prose, a
 //! string literal or a test:
 //!
@@ -21,6 +21,13 @@
 //!   later `sync::Mutex` or bare `Mutex` no longer starts at `std`.
 //!   Concurrency there goes through the shims so `cargo xtask model`
 //!   explores the code production runs.
+//! * `lock` — a `Mutex`, `RwLock` or `Condvar` identifier, std or
+//!   `psb_model` shim, outside the crates that own a lock: `model` (the
+//!   primitives and `KeyedOnce`, the trace cache's one lock), `bench`
+//!   (the micro harness's result collectors) and `xtask` (the mutation
+//!   runner's result lists). The simulator shares state only through
+//!   the sweep pool's channels and atomics and the trace cache, so no
+//!   lock order is left to check.
 //! * `missing-docs` — a `pub` item with neither a doc comment nor a
 //!   `#[doc …]` attribute, in a crate whose root declares
 //!   `#![warn(missing_docs)]`. `pub use` and `pub(crate)` are exempt.
@@ -39,6 +46,13 @@ pub const DETERMINISTIC_CRATES: &[&str] = &["sim", "core", "mem", "cpu", "worklo
 
 /// Crates whose concurrency runs under the model checker.
 pub const MODEL_CHECKED_CRATES: &[&str] = &["sim", "workloads"];
+
+/// Crates that may hold a lock.
+const LOCK_OWNERS: &[&str] = &["model", "bench", "xtask"];
+
+/// Blocking primitives, matched within an identifier (so `MutexGuard`
+/// counts).
+const LOCKS: [&str; 3] = ["Mutex", "RwLock", "Condvar"];
 
 /// `std::sync` items that have a `psb_model` shim, matched within a path
 /// segment (so `AtomicU64` counts). `Arc` is exempt: it is pure
@@ -66,6 +80,7 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
         let library = f.rel.starts_with("crates/") && !f.rel.contains("/src/bin/");
         let clocks = DETERMINISTIC_CRATES.contains(&f.krate.as_str());
         let shims = MODEL_CHECKED_CRATES.contains(&f.krate.as_str());
+        let locks = !LOCK_OWNERS.contains(&f.krate.as_str());
         let docs = documented.contains(src_dir(&f.rel));
         let len = tree.toks.len();
         for i in (0..len).filter(|&i| !tree.toks[i].in_test && tree.toks[i].kind == Kind::Ident) {
@@ -97,6 +112,9 @@ pub fn run(ws: &Workspace) -> Vec<Finding> {
                         sites.add_tok(f, tok, "sync-shims");
                     }
                 }
+            }
+            if locks && LOCKS.iter().any(|l| t.contains(l)) {
+                sites.add_tok(f, i, "lock");
             }
             let item = i + 1 < len && DOC_ITEMS.contains(&tree.text(i + 1));
             if docs && t == "pub" && item && !has_docs(tree, i) {
@@ -284,7 +302,7 @@ mod tests {
     #[test]
     fn sync_shims_fires_on_raw_std_primitives() {
         expect(&[
-            ("crates/sim/src/pool.rs", "use std::sync::Mutex;\n", &[":sync-shims"]),
+            ("crates/sim/src/pool.rs", "use std::sync::Mutex;\n", &[":lock", ":sync-shims"]),
             ("crates/workloads/src/c.rs", "use std::sync::{Arc, OnceLock};\n", &[":sync-shims"]),
             ("crates/sim/src/x.rs", "fn f() { std::thread::spawn(|| {}); }\n", &["f:sync-shims"]),
         ]);
@@ -297,7 +315,7 @@ mod tests {
         let module = "use std::sync;\nfn f(m: &sync::Mutex<u8>) {}\n";
         expect(&[
             ("crates/sim/src/pool.rs", "use std::sync::*;\n", &[":sync-shims"]),
-            ("crates/sim/src/x.rs", module, &[":sync-shims"]),
+            ("crates/sim/src/x.rs", module, &[":sync-shims", ":lock"]),
             ("crates/workloads/src/c.rs", "use std::sync::{self, Arc};\n", &[":sync-shims"]),
         ]);
         let got = found("crates/sim/src/pool.rs", "use std::{\n    sync,\n    thread,\n};\n");
@@ -310,7 +328,8 @@ mod tests {
     fn sync_shims_expands_grouped_std_imports() {
         let got =
             found("crates/sim/src/pool.rs", "use std::{\n    sync::Mutex,\n    thread,\n};\n");
-        assert_eq!(got, [("rules:crates/sim/src/pool.rs::sync-shims".to_string(), vec![2, 3])]);
+        let id = |kind| format!("rules:crates/sim/src/pool.rs::{kind}");
+        assert_eq!(got, [(id("lock"), vec![2]), (id("sync-shims"), vec![2, 3])]);
     }
 
     #[test]
@@ -324,9 +343,27 @@ mod tests {
             (
                 "crates/sim/src/pool.rs",
                 "use psb_model::sync::{mpsc, Mutex};\nuse psb_model::thread;\n",
-                &[],
+                &[":lock"],
             ),
-            ("crates/mem/src/x.rs", "use std::sync::Mutex;\n", &[]),
+            ("crates/mem/src/x.rs", "use std::sync::Mutex;\n", &[":lock"]),
+        ]);
+    }
+
+    /// `expect` also checks that none of these fires in test code.
+    #[test]
+    fn lock_fires_outside_the_owning_crates_only() {
+        let shim = "static GATE: psb_model::sync::Mutex<u8> = psb_model::sync::Mutex::new(0);\n";
+        let std =
+            "use std::sync::{Condvar, Mutex, RwLock};\nstatic M: Mutex<u8> = Mutex::new(0);\n";
+        expect(&[
+            ("crates/sim/src/x.rs", shim, &[":lock"]),
+            ("crates/core/src/x.rs", "fn f() { let m = std::sync::Mutex::new(0); }\n", &["f:lock"]),
+            ("crates/obs/src/x.rs", "use std::sync::RwLock;\n", &[":lock"]),
+            ("src/bin/psbsim.rs", "fn g(c: &Condvar) {}\n", &[":lock"]),
+            ("crates/model/src/keyed.rs", std, &[]),
+            ("crates/bench/src/micro.rs", std, &[]),
+            ("xtask/src/mutants/runner.rs", shim, &[]),
+            ("crates/sim/src/x.rs", "// a Mutex\nconst S: &str = \"RwLock Condvar\";\n", &[]),
         ]);
     }
 

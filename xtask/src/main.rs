@@ -15,18 +15,19 @@
 //!   `PSB_MODEL_PREEMPTIONS` / `PSB_MODEL_SEED`; pin one interleaving
 //!   with `PSB_MODEL_REPLAY=<schedule>`.
 //! * `validate-artifacts <file>...` — parse each emitted JSON artifact
-//!   (`psb-run-v1` reports, Chrome traces, `psb-bench-v1` results) and
-//!   check its shape, so CI catches a malformed writer before a human
-//!   loads the file into Perfetto or a plotting script.
+//!   (`psb-run-v1` reports, Chrome traces, `psb-bench-v1` results,
+//!   `psb-analyze-v1` reports) and check its shape, so CI catches a
+//!   malformed writer before a human loads the file into Perfetto or a
+//!   plotting script. Sweep grids are read by `psb_sim::read_sweep_report`.
 //! * `bench-gate` — re-run the micro benches and fail if any row
 //!   regressed beyond a tolerance against the committed
 //!   `BENCH_psb.json` baseline (see [`benchgate`]).
 //! * `mutants` — mutation-test the hot-path files against the committed
 //!   `MUTANTS.toml` survivor baseline (see [`mutants`]).
-//! * `analyze` — the static checker: hot-path panic-freedom, static
-//!   lock-order, cast/unit safety and the source rules, gated against
-//!   `PANICS.toml`, the one allow-list (see [`analyze`]). It needs no
-//!   toolchain component.
+//! * `analyze` — the static checker: hot-path panic-freedom, cast/unit
+//!   safety and the source rules (a lock outside `psb-model` and the
+//!   harnesses among them), gated against `PANICS.toml`, the one
+//!   allow-list (see [`analyze`]). It needs no toolchain component.
 
 mod analyze;
 mod baseline;
@@ -112,13 +113,12 @@ const COMMANDS: &[Cmd] = &[
     },
     Cmd {
         name: "analyze",
-        synopsis: "[--pass panics|locks|casts|rules] [--baseline FILE] [--report FILE]",
+        synopsis: "[--pass panics|casts|rules] [--baseline FILE] [--report FILE]",
         help: &[
             "token-tree static analysis over the workspace:",
             "hot-path panic-freedom (call graph rooted at the",
-            "engine/memory entry points), static lock-order",
-            "(fails on cycles), cast/unit safety and the source",
-            "rules; findings gate against the committed PANICS.toml",
+            "engine/memory entry points), cast/unit safety and the",
+            "source rules; findings gate against the committed PANICS.toml",
             "  --pass NAME       run one pass (repeatable; default all)",
             "  --baseline FILE   finding baseline (default PANICS.toml)",
             "  --report FILE     write a psb-analyze-v1 JSON report",

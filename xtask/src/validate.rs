@@ -10,13 +10,14 @@
 //! * Chrome trace — `psbsim --trace-out`: a `traceEvents` array whose
 //!   entries carry the keys Perfetto requires per phase.
 //! * `psb-bench-v1` — the bench harness's `BENCH_psb.json`.
-//! * `psb-sweep-v1` — `psbsweep --json`: one entry per grid cell with
-//!   the cell's coordinates, its commit cap if it has one, and aggregate
-//!   statistics.
 //! * `psb-analyze-v1` — `cargo xtask analyze --report`: per-pass
-//!   finding lists (panic-freedom, lock-order, cast safety, source
-//!   rules), the baseline accounting, and the gate verdict — which must
-//!   agree with the finding lists and stale entries it summarizes.
+//!   finding lists (panic-freedom, cast safety, source rules), the
+//!   baseline accounting, and the gate verdict — which must agree with
+//!   the finding lists and stale entries it summarizes.
+//!
+//! A `psb-sweep-v1` grid is not an artifact kind here: its one reader
+//! is `psb_sim::read_sweep_report`, which psbsweep runs on its own
+//! `--json` text and `views` runs on every grid it renders.
 
 use psb_obs::json::{self, Json};
 use std::process::ExitCode;
@@ -52,7 +53,6 @@ fn validate_file(path: &str) -> Result<String, String> {
     match doc.get("schema").and_then(Json::as_str) {
         Some("psb-run-v1") => validate_run(&doc),
         Some("psb-bench-v1") => validate_bench(&doc),
-        Some("psb-sweep-v1") => validate_sweep(&doc),
         Some("psb-analyze-v1") => validate_analyze(&doc),
         Some(other) => Err(format!("unknown schema {other:?}")),
         None if doc.get("traceEvents").is_some() => validate_trace(&doc),
@@ -144,41 +144,15 @@ fn validate_bench(doc: &Json) -> Result<String, String> {
     Ok(format!("bench results, {micro} micro entry(ies), {runs} run entry(ies)"))
 }
 
-fn validate_sweep(doc: &Json) -> Result<String, String> {
-    let cells = require(doc, "cells")?.as_arr().ok_or("`cells` is not an array")?;
-    for (i, c) in cells.iter().enumerate() {
-        require(c, "benchmark")
-            .and_then(|b| b.as_str().ok_or_else(|| "`benchmark` is not a string".to_string()))
-            .map_err(|m| format!("cells[{i}]: {m}"))?;
-        require(c, "config")
-            .and_then(|b| b.as_str().ok_or_else(|| "`config` is not a string".to_string()))
-            .map_err(|m| format!("cells[{i}]: {m}"))?;
-        require_u64(c, "scale").map_err(|m| format!("cells[{i}]: {m}"))?;
-        // A capped cell records its cap; a whole-trace cell has none.
-        if c.get("max_commits").is_some() {
-            require_u64(c, "max_commits").map_err(|m| format!("cells[{i}]: {m}"))?;
-        }
-        let agg = require(c, "aggregate").map_err(|m| format!("cells[{i}]: {m}"))?;
-        let cycles = require_u64(agg, "cycles").map_err(|m| format!("cells[{i}]: {m}"))?;
-        if cycles == 0 {
-            return Err(format!("cells[{i}]: aggregate.cycles is zero — empty cell?"));
-        }
-        require(agg, "ipc")
-            .and_then(|v| v.as_f64().ok_or_else(|| "`ipc` is not a number".to_string()))
-            .map_err(|m| format!("cells[{i}]: {m}"))?;
-    }
-    Ok(format!("sweep report, {} cell(s)", cells.len()))
-}
-
 /// Validates a `psb-analyze-v1` report: pass list, per-pass finding
 /// shapes, baseline accounting, and that the `ok` verdict agrees with
-/// the data (a report claiming `ok` may carry no new findings, no stale
-/// baseline entries and no lock cycles).
+/// the data (a report claiming `ok` may carry no new findings and no
+/// stale baseline entries).
 fn validate_analyze(doc: &Json) -> Result<String, String> {
     let passes = require(doc, "passes")?.as_arr().ok_or("`passes` is not an array")?;
     for (i, p) in passes.iter().enumerate() {
         match p.as_str() {
-            Some("panics" | "locks" | "casts" | "rules") => {}
+            Some("panics" | "casts" | "rules") => {}
             Some(other) => return Err(format!("passes[{i}]: unknown pass {other:?}")),
             None => return Err(format!("passes[{i}] is not a string")),
         }
@@ -215,21 +189,6 @@ fn validate_analyze(doc: &Json) -> Result<String, String> {
         require_u64(p, "reachable").map_err(|m| format!("panics: {m}"))?;
         total_findings += check_findings(p, "panics")?;
     }
-    let mut cycles = 0usize;
-    if let Some(l) = doc.get("locks") {
-        require(l, "classes")?.as_arr().ok_or("locks.classes is not an array")?;
-        let edges = require(l, "edges")?.as_arr().ok_or("locks.edges is not an array")?;
-        for (i, e) in edges.iter().enumerate() {
-            for k in ["from", "to", "file"] {
-                require(e, k)
-                    .and_then(|v| v.as_str().map(drop).ok_or_else(|| format!("`{k}` not a string")))
-                    .map_err(|m| format!("locks.edges[{i}]: {m}"))?;
-            }
-            require_u64(e, "line").map_err(|m| format!("locks.edges[{i}]: {m}"))?;
-        }
-        require_u64(l, "waits").map_err(|m| format!("locks: {m}"))?;
-        cycles = require(l, "cycles")?.as_arr().ok_or("locks.cycles is not an array")?.len();
-    }
     if let Some(c) = doc.get("casts") {
         require_u64(c, "scanned").map_err(|m| format!("casts: {m}"))?;
         total_findings += check_findings(c, "casts")?;
@@ -245,10 +204,10 @@ fn validate_analyze(doc: &Json) -> Result<String, String> {
         Json::Bool(b) => *b,
         _ => return Err("`ok` is not a bool".to_string()),
     };
-    if ok && (new > 0 || stale > 0 || cycles > 0) {
+    if ok && (new > 0 || stale > 0) {
         return Err(format!(
-            "verdict says ok but the report carries {new} new finding(s), {stale} stale \
-             entr(ies) and {cycles} cycle(s)"
+            "verdict says ok but the report carries {new} new finding(s) and {stale} stale \
+             entr(ies)"
         ));
     }
     Ok(format!(
@@ -313,43 +272,19 @@ mod tests {
     }
 
     #[test]
-    fn sweep_cells_are_checked() {
-        let good = r#"{"schema":"psb-sweep-v1","cells":[
-            {"benchmark":"health","config":"Base","scale":1,
-             "aggregate":{"cycles":100,"ipc":0.5}}]}"#;
-        assert!(validate_sweep(&json::parse(good).unwrap()).is_ok());
-
-        let zero = json::parse(&good.replace("\"cycles\":100", "\"cycles\":0")).unwrap();
-        assert!(validate_sweep(&zero).unwrap_err().contains("cycles is zero"));
-
-        let bad = r#"{"schema":"psb-sweep-v1","cells":[{"benchmark":"health"}]}"#;
-        let err = validate_sweep(&json::parse(bad).unwrap()).unwrap_err();
-        assert!(err.contains("config"), "{err}");
-
-        let capped = good.replace("\"scale\":1,", "\"scale\":1,\"max_commits\":200000,");
-        assert!(validate_sweep(&json::parse(&capped).unwrap()).is_ok());
-        let bad_cap = json::parse(&capped.replace("200000", "\"all\"")).unwrap();
-        let err = validate_sweep(&bad_cap).unwrap_err();
-        assert!(err.contains("cells[0]: `max_commits` is not an unsigned integer"), "{err}");
-    }
-
-    #[test]
     fn analyze_reports_are_checked_and_verdict_must_agree() {
-        let good = r#"{"schema":"psb-analyze-v1","passes":["panics","locks","casts","rules"],
+        let good = r#"{"schema":"psb-analyze-v1","passes":["panics","casts","rules"],
             "files":10,
             "panics":{"roots":2,"reachable":20,"findings":[
                 {"id":"panics:a.rs:F::f:index","file":"a.rs","fn":"F::f","kind":"index",
                  "lines":[4,9],"baselined":true}]},
-            "locks":{"classes":["sim/state"],"edges":[
-                {"from":"sim/state","to":"sim/slot","file":"b.rs","line":7,"via":"publish"}],
-                "waits":1,"cycles":[]},
             "casts":{"scanned":50,"findings":[]},
             "rules":{"findings":[
                 {"id":"rules:c.rs:g:println","file":"c.rs","fn":"g","kind":"println",
                  "lines":[2],"baselined":true}]},
             "new":0,"baselined":2,"stale":[],"ok":true}"#;
         let desc = validate_analyze(&json::parse(good).unwrap()).unwrap();
-        assert!(desc.contains("4 pass(es), 2 finding(s)"), "{desc}");
+        assert!(desc.contains("3 pass(es), 2 finding(s)"), "{desc}");
         assert!(desc.contains("verdict ok"), "{desc}");
 
         // A verdict that disagrees with its own counts is corruption:
@@ -372,8 +307,11 @@ mod tests {
         assert!(err.contains("rules.findings[0]"), "{err}");
 
         // Unknown pass names are rejected.
-        let odd = good.replace("\"panics\",", "\"vibes\",");
-        assert!(validate_analyze(&json::parse(&odd).unwrap()).unwrap_err().contains("vibes"));
+        for pass in ["vibes", "locks"] {
+            let odd = good.replace("\"panics\",", &format!("\"{pass}\","));
+            let err = validate_analyze(&json::parse(&odd).unwrap()).unwrap_err();
+            assert!(err.contains(&format!("unknown pass \"{pass}\"")), "{err}");
+        }
     }
 
     #[test]
