@@ -165,6 +165,7 @@ fn main() {
     bench_l1_and_tlb();
     bench_simmemory();
     if let Err(e) = psb_bench::micro::write_json_default() {
-        eprintln!("{}: {e}", psb_bench::micro::BENCH_JSON);
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }

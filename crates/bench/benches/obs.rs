@@ -68,6 +68,7 @@ fn main() {
     });
     println!("(basis: {} events sent per iter)", events.len());
     if let Err(e) = psb_bench::micro::write_json_default() {
-        eprintln!("{}: {e}", psb_bench::micro::BENCH_JSON);
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }

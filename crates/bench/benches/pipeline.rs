@@ -58,6 +58,7 @@ fn main() {
     });
     println!("(basis: {} instructions, {cycles} simulated cycles per iter)", trace.len());
     if let Err(e) = psb_bench::micro::write_json_default() {
-        eprintln!("{}: {e}", psb_bench::micro::BENCH_JSON);
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }

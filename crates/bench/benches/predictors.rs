@@ -93,6 +93,7 @@ fn main() {
     bench_sfm();
     bench_psb_engine();
     if let Err(e) = psb_bench::micro::write_json_default() {
-        eprintln!("{}: {e}", psb_bench::micro::BENCH_JSON);
+        eprintln!("{e}");
+        std::process::exit(1);
     }
 }

@@ -6,13 +6,14 @@
 //! Numbers are indicative (no outlier rejection), which is all the
 //! repo needs for before/after comparisons on one machine.
 //!
-//! Every measurement is also recorded in a process-wide collector;
-//! call [`write_json`] at the end of `main` to merge the results into
-//! the workspace's `BENCH_psb.json` (schema `psb-bench-v1`, emitted
-//! through the same [`psb_obs::Json`] writer as the run artifacts).
+//! Every measurement is also recorded in a collector; call
+//! [`write_json`] at the end of `main` to merge the results into the
+//! workspace's `BENCH_psb.json` (schema `psb-bench-v1`, emitted through
+//! the same [`psb_obs::Json`] writer as the run artifacts).
 
 use psb_obs::{json, Json};
-use std::sync::Mutex;
+use std::cell::RefCell;
+use std::io;
 use std::time::{Duration, Instant};
 
 /// One finished measurement.
@@ -37,15 +38,12 @@ impl BenchResult {
     }
 }
 
-/// Process-wide result collector, merged by name so re-running a
-/// measurement in one process keeps the latest number. Micro rows and
-/// whole-run rows are kept apart: they land in different artifact
-/// sections so a regression gate can apply a tight tolerance to the
-/// micro numbers without tripping over 100 ms-scale run rows.
-static RESULTS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
-
-/// Process-wide collector for whole-run rows (see [`bench_run`]).
-static RUNS: Mutex<Vec<BenchResult>> = Mutex::new(Vec::new());
+thread_local! {
+    /// The result collector, merged by name so re-running a measurement
+    /// keeps the latest number. Every bench binary measures on its main
+    /// thread, so that thread's collector holds every row it writes.
+    static RESULTS: RefCell<Vec<BenchResult>> = const { RefCell::new(Vec::new()) };
+}
 
 /// Artifact file name; [`write_json_default`] puts it at the workspace
 /// root regardless of the working directory `cargo bench` picked.
@@ -101,7 +99,7 @@ pub fn bench_per(name: &str, units: u64, mut f: impl FnMut()) -> BenchResult {
             let ns = elapsed.as_nanos() as f64 / iters as f64;
             println!("{name:<32} {ns:>12.1} ns/iter  ({iters} iters)");
             let result = BenchResult { name: name.to_owned(), ns_per_iter: ns, iters };
-            record(result.clone());
+            RESULTS.with_borrow_mut(|all| upsert(all, result.clone()));
             return result;
         }
         // Aim straight for the budget once we have a signal; otherwise
@@ -116,46 +114,16 @@ pub fn bench_per(name: &str, units: u64, mut f: impl FnMut()) -> BenchResult {
     }
 }
 
-/// Times one whole-system run per call of `f` — no doubling-batch
-/// search, a single timed invocation — and records it in the `runs`
-/// section of the artifact. Use for ~100 ms-scale end-to-end rows that
-/// would otherwise pollute the micro `results` a regression gate
-/// applies a per-cent tolerance to.
-pub fn bench_run(name: &str, mut f: impl FnMut()) -> BenchResult {
-    let start = Instant::now();
-    f();
-    let ns = start.elapsed().as_nanos() as f64;
-    println!("{name:<32} {ns:>12.1} ns/run");
-    let result = BenchResult { name: name.to_owned(), ns_per_iter: ns, iters: 1 };
-    upsert(&RUNS, result.clone());
-    result
-}
-
 /// Print a group header so bench output stays scannable.
 pub fn group(name: &str) {
     println!("\n== {name} ==");
 }
 
-fn upsert(collector: &Mutex<Vec<BenchResult>>, result: BenchResult) {
-    let mut all = collector.lock().unwrap_or_else(|e| e.into_inner());
+fn upsert(all: &mut Vec<BenchResult>, result: BenchResult) {
     match all.iter_mut().find(|b| b.name == result.name) {
         Some(existing) => *existing = result,
         None => all.push(result),
     }
-}
-
-fn record(result: BenchResult) {
-    upsert(&RESULTS, result);
-}
-
-/// A copy of every micro result recorded so far in this process.
-pub fn results() -> Vec<BenchResult> {
-    RESULTS.lock().unwrap_or_else(|e| e.into_inner()).clone()
-}
-
-/// A copy of every whole-run result recorded so far in this process.
-pub fn run_results() -> Vec<BenchResult> {
-    RUNS.lock().unwrap_or_else(|e| e.into_inner()).clone()
 }
 
 fn result_from_json(v: &Json) -> Option<BenchResult> {
@@ -166,50 +134,39 @@ fn result_from_json(v: &Json) -> Option<BenchResult> {
     })
 }
 
-/// Serializes micro `results` and whole-run `runs` rows as a
-/// `psb-bench-v1` document.
-pub fn results_json(results: &[BenchResult], runs: &[BenchResult]) -> Json {
-    Json::obj([
-        ("schema", Json::str("psb-bench-v1")),
-        ("results", Json::arr(results.iter().map(BenchResult::to_json))),
-        ("runs", Json::arr(runs.iter().map(BenchResult::to_json))),
-    ])
+/// Every row of a `psb-bench-v1` document, or what makes it unreadable.
+fn read_rows(text: &str) -> Result<Vec<BenchResult>, String> {
+    let doc = json::parse(text).map_err(|e| format!("invalid JSON: {e}"))?;
+    if doc.get("schema").and_then(Json::as_str) != Some("psb-bench-v1") {
+        return Err("not a psb-bench-v1 artifact".to_string());
+    }
+    let rows = doc.get("results").and_then(Json::as_arr).ok_or("no `results` array")?;
+    let row = |(i, r)| {
+        result_from_json(r).ok_or_else(|| {
+            format!("results[{i}] needs a string `name`, numeric `ns_per_iter` and integer `iters`")
+        })
+    };
+    rows.iter().enumerate().map(row).collect()
 }
 
-fn load_section(doc: &Json, key: &str) -> Vec<BenchResult> {
-    doc.get(key)
-        .and_then(Json::as_arr)
-        .map(|items| items.iter().filter_map(result_from_json).collect())
-        .unwrap_or_default()
-}
-
-/// Merges this process's results into the JSON artifact at `path`
+/// Merges this thread's results into the JSON artifact at `path`
 /// (usually [`BENCH_JSON`]): existing entries with the same name are
-/// replaced, everything else is preserved, so the three bench binaries
-/// build up one file across invocations. Micro and whole-run rows are
-/// kept in their own sections; a row moving between sections (e.g. a
-/// pre-split artifact holding run rows under `results`) is migrated
-/// rather than duplicated.
-pub fn write_json(path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
+/// replaced, everything else is preserved, so the bench binaries build
+/// up one file across invocations. A missing file starts empty; a file
+/// that cannot be read as `psb-bench-v1` rows is an error, and the file
+/// is left as it was.
+pub fn write_json(path: impl AsRef<std::path::Path>) -> io::Result<()> {
     let path = path.as_ref();
-    let doc = std::fs::read_to_string(path).ok().and_then(|text| json::parse(&text).ok());
-    let mut merged = doc.as_ref().map(|d| load_section(d, "results")).unwrap_or_default();
-    let mut merged_runs = doc.as_ref().map(|d| load_section(d, "runs")).unwrap_or_default();
-    for r in results() {
-        merged_runs.retain(|b| b.name != r.name);
-        match merged.iter_mut().find(|b| b.name == r.name) {
-            Some(existing) => *existing = r,
-            None => merged.push(r),
-        }
-    }
-    for r in run_results() {
-        merged.retain(|b| b.name != r.name);
-        match merged_runs.iter_mut().find(|b| b.name == r.name) {
-            Some(existing) => *existing = r,
-            None => merged_runs.push(r),
-        }
-    }
-    std::fs::write(path, results_json(&merged, &merged_runs).to_string())
+    let refuse = |kind, why: String| io::Error::new(kind, format!("{}: {why}", path.display()));
+    let mut merged = match std::fs::read_to_string(path) {
+        Ok(text) => read_rows(&text).map_err(|why| refuse(io::ErrorKind::InvalidData, why))?,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => Vec::new(),
+        Err(e) => return Err(refuse(e.kind(), e.to_string())),
+    };
+    RESULTS.with_borrow(|fresh| fresh.iter().for_each(|r| upsert(&mut merged, r.clone())));
+    let rows = Json::arr(merged.iter().map(BenchResult::to_json));
+    let doc = Json::obj([("schema", Json::str("psb-bench-v1")), ("results", rows)]);
+    std::fs::write(path, doc.to_string())
 }
 
 /// Chooses the artifact file for this process's measurement conditions:
@@ -254,7 +211,7 @@ mod tests {
         });
         assert!(r.iters >= 1);
         assert!(r.ns_per_iter >= 0.0);
-        assert!(results().iter().any(|b| b.name == "micro_test_counter"));
+        assert!(RESULTS.with_borrow(|all| all.iter().any(|b| b.name == "micro_test_counter")));
     }
 
     #[test]
@@ -263,23 +220,7 @@ mod tests {
             std::hint::black_box(1 + 1);
         });
         assert_eq!(r.iters % 1000, 0);
-        assert!(results().iter().any(|b| b.name == "micro_test_units"));
-    }
-
-    #[test]
-    fn results_json_round_trips_and_merges() {
-        let a = BenchResult { name: "a".into(), ns_per_iter: 12.5, iters: 1000 };
-        let b = BenchResult { name: "b".into(), ns_per_iter: 3.0, iters: 64 };
-        let r = BenchResult { name: "Base".into(), ns_per_iter: 1.0e8, iters: 1 };
-        let doc = results_json(&[a.clone(), b.clone()], std::slice::from_ref(&r));
-        let back = json::parse(&doc.to_string()).unwrap();
-        assert_eq!(back.get("schema").and_then(Json::as_str), Some("psb-bench-v1"));
-        let items = back.get("results").and_then(Json::as_arr).unwrap();
-        assert_eq!(items.len(), 2);
-        assert_eq!(result_from_json(&items[0]), Some(a));
-        assert_eq!(result_from_json(&items[1]), Some(b));
-        let runs = back.get("runs").and_then(Json::as_arr).unwrap();
-        assert_eq!(result_from_json(&runs[0]), Some(r));
+        assert!(RESULTS.with_borrow(|all| all.iter().any(|b| b.name == "micro_test_units")));
     }
 
     #[test]
@@ -299,35 +240,33 @@ mod tests {
     }
 
     #[test]
-    fn write_json_migrates_run_rows_out_of_results() {
-        // A pre-split artifact kept whole-run rows in `results`; merging
-        // a fresh run row with the same name must move it to `runs`
-        // without duplicating it.
-        let dir = std::env::temp_dir().join("psb_bench_migrate_test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("bench.json");
-        std::fs::write(
-            &path,
-            r#"{"schema":"psb-bench-v1","results":[
-                {"name":"micro_a","ns_per_iter":10.0,"iters":100},
-                {"name":"run_row","ns_per_iter":9.9e7,"iters":1}]}"#,
-        )
-        .unwrap();
-        upsert(&RUNS, BenchResult { name: "run_row".into(), ns_per_iter: 1.0e8, iters: 1 });
+    fn write_json_merges_rows_and_leaves_a_corrupt_artifact_untouched() {
+        let path = std::env::temp_dir().join(format!("psb_bench_{}.json", std::process::id()));
+        let fresh = BenchResult { name: "fresh".into(), ns_per_iter: 1.0, iters: 4 };
+        let kept = BenchResult { name: "kept".into(), ns_per_iter: 2.5, iters: 8 };
+        RESULTS.with_borrow_mut(|all| upsert(all, fresh.clone()));
+        let good =
+            r#"{"schema":"psb-bench-v1","results":[{"name":"kept","ns_per_iter":2.5,"iters":8}]}"#;
+        let stringly = good.replace("2.5", "\"2.5\"");
+        for (text, why) in [
+            (r#"{"schema":"#, "invalid JSON"),
+            (r#"{"schema":"psb-run-v1"}"#, "not a psb-bench-v1"),
+            (stringly.as_str(), "results[0]"),
+        ] {
+            std::fs::write(&path, text).unwrap();
+            let err = write_json(&path).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+            let msg = err.to_string();
+            assert!(msg.contains(why) && msg.contains(&*path.to_string_lossy()), "{msg}");
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), text, "a refused file changed");
+        }
+        let written = || read_rows(&std::fs::read_to_string(&path).unwrap());
+        std::fs::write(&path, good).unwrap();
         write_json(&path).unwrap();
-        let doc = json::parse(&std::fs::read_to_string(&path).unwrap()).unwrap();
-        let names = |key: &str| -> Vec<String> {
-            doc.get(key)
-                .and_then(Json::as_arr)
-                .unwrap()
-                .iter()
-                .filter_map(|r| Some(r.get("name")?.as_str()?.to_owned()))
-                .collect()
-        };
-        assert!(names("results").contains(&"micro_a".to_owned()));
-        assert!(!names("results").contains(&"run_row".to_owned()), "row must migrate");
-        assert_eq!(names("runs").iter().filter(|n| *n == "run_row").count(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-        RUNS.lock().unwrap_or_else(|e| e.into_inner()).retain(|b| b.name != "run_row");
+        assert_eq!(written(), Ok(vec![kept, fresh.clone()]));
+        std::fs::remove_file(&path).unwrap();
+        write_json(&path).unwrap();
+        assert_eq!(written(), Ok(vec![fresh]));
+        std::fs::remove_file(&path).unwrap();
     }
 }

@@ -64,19 +64,6 @@ impl Addr {
         PageAddr(self.0 >> page_size.trailing_zeros())
     }
 
-    /// Returns the byte offset of this address within its `page_size`
-    /// page — the sanctioned replacement for `addr.raw() % page_size`
-    /// at translation boundaries.
-    ///
-    /// # Panics
-    ///
-    /// Panics in debug builds if `page_size` is not a power of two.
-    #[inline]
-    pub fn offset_in(self, page_size: u64) -> u64 {
-        debug_assert!(page_size.is_power_of_two());
-        self.0 & (page_size - 1)
-    }
-
     /// Returns the instruction-word index (`raw >> 2`) as a table key —
     /// the sanctioned home of the PC-to-`usize` narrowing every
     /// PC-indexed predictor table performs.

@@ -93,12 +93,6 @@ impl SatCounter {
     pub fn is_high(self) -> bool {
         self.value > self.max / 2
     }
-
-    /// True if the counter has saturated at its maximum.
-    #[inline]
-    pub fn is_saturated(self) -> bool {
-        self.value == self.max
-    }
 }
 
 impl fmt::Debug for SatCounter {
@@ -124,7 +118,6 @@ mod tests {
             c.inc();
         }
         assert_eq!(c.get(), 7);
-        assert!(c.is_saturated());
         for _ in 0..20 {
             c.dec();
         }
@@ -174,6 +167,5 @@ mod tests {
         let mut c = SatCounter::new(0);
         c.inc();
         assert_eq!(c.get(), 0);
-        assert!(c.is_saturated());
     }
 }

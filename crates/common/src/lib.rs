@@ -10,8 +10,8 @@
 //!   confidence and priority mechanism in the paper.
 //! * [`SplitMix64`] — a tiny deterministic PRNG so that workload traces are
 //!   reproducible bit-for-bit across platforms and toolchain versions.
-//! * [`stats`] — running means, ratios and histograms used by the
-//!   experiment harness.
+//! * [`stats`] — running means and histograms used by the experiment
+//!   harness.
 //!
 //! # Example
 //!
@@ -38,7 +38,7 @@ pub mod event;
 /// Metric handles (counters, histograms, gauges) shared with `psb-obs`.
 pub mod metrics;
 mod rng;
-/// Streaming statistics: counters, ratios, running means, histograms.
+/// Streaming statistics: counters, running means, histograms.
 pub mod stats;
 
 pub use addr::{Addr, BlockAddr, PageAddr};

@@ -80,13 +80,6 @@ impl SplitMix64 {
         self.below(den) < num
     }
 
-    /// Returns a uniformly distributed `f64` in `[0, 1)`.
-    #[inline]
-    pub fn next_f64(&mut self) -> f64 {
-        // 53 random mantissa bits.
-        (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-    }
-
     /// Shuffles a slice in place (Fisher–Yates).
     pub fn shuffle<T>(&mut self, items: &mut [T]) {
         for i in (1..items.len()).rev() {
@@ -190,15 +183,6 @@ mod tests {
         let mut v2: Vec<u32> = (0..64).collect();
         r2.shuffle(&mut v2);
         assert_eq!(v, v2);
-    }
-
-    #[test]
-    fn f64_in_unit_interval() {
-        let mut r = SplitMix64::new(3);
-        for _ in 0..1000 {
-            let x = r.next_f64();
-            assert!((0.0..1.0).contains(&x));
-        }
     }
 
     #[test]

@@ -86,83 +86,6 @@ impl fmt::Display for RunningMean {
     }
 }
 
-/// A hit/total ratio counter (miss rates, prediction accuracy, ...).
-///
-/// # Example
-///
-/// ```
-/// use psb_common::stats::Ratio;
-/// let mut r = Ratio::new();
-/// r.record(true);
-/// r.record(false);
-/// r.record(false);
-/// assert!((r.fraction() - 1.0 / 3.0).abs() < 1e-12);
-/// ```
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct Ratio {
-    hits: u64,
-    total: u64,
-}
-
-impl Ratio {
-    /// Creates an empty ratio.
-    pub const fn new() -> Self {
-        Ratio { hits: 0, total: 0 }
-    }
-
-    /// Records one event; `hit` selects the numerator.
-    #[inline]
-    pub fn record(&mut self, hit: bool) {
-        self.total += 1;
-        self.hits += hit as u64;
-    }
-
-    /// Adds to the numerator and denominator directly.
-    #[inline]
-    pub fn add(&mut self, hits: u64, total: u64) {
-        self.hits += hits;
-        self.total += total;
-    }
-
-    /// Numerator.
-    #[inline]
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Denominator.
-    #[inline]
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Denominator minus numerator.
-    #[inline]
-    pub fn misses(&self) -> u64 {
-        self.total - self.hits
-    }
-
-    /// `hits / total`, or 0.0 if nothing was recorded.
-    pub fn fraction(&self) -> f64 {
-        if self.total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / self.total as f64
-        }
-    }
-
-    /// `fraction()` expressed in percent.
-    pub fn percent(&self) -> f64 {
-        self.fraction() * 100.0
-    }
-}
-
-impl fmt::Display for Ratio {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{}/{} ({:.2}%)", self.hits, self.total, self.percent())
-    }
-}
-
 /// A fixed-bucket histogram over `u64` samples.
 ///
 /// Bucket `i` counts samples equal to `i`; samples `>= len` fall into the
@@ -493,23 +416,6 @@ mod tests {
         assert_eq!(a.count(), 3);
         assert_eq!(a.mean(), 3.0);
         assert_eq!(a.max(), Some(5));
-    }
-
-    #[test]
-    fn ratio_basics() {
-        let mut r = Ratio::new();
-        assert_eq!(r.fraction(), 0.0);
-        r.record(true);
-        r.record(true);
-        r.record(false);
-        r.record(false);
-        assert_eq!(r.fraction(), 0.5);
-        assert_eq!(r.percent(), 50.0);
-        assert_eq!(r.hits(), 2);
-        assert_eq!(r.misses(), 2);
-        r.add(2, 2);
-        assert_eq!(r.hits(), 4);
-        assert_eq!(r.total(), 6);
     }
 
     #[test]

@@ -5,7 +5,6 @@
 
 #![cfg(psb_model)]
 
-use psb_model::keyed::KeyedOnce;
 use psb_model::sched::{explore, replay, try_explore, ModelConfig, EXPECTED_PANIC_MARKER};
 use psb_model::sync::atomic::{AtomicUsize, Ordering};
 use psb_model::sync::{mpsc, Mutex, OnceLock};
@@ -169,34 +168,6 @@ fn channel_preserves_per_sender_fifo() {
                 assert_eq!(mine, vec![t * 10, t * 10 + 1], "per-sender order holds");
             }
         });
-    });
-}
-
-/// KeyedOnce under racing callers of the same key: one generation, a
-/// shared value — the property the workloads trace cache relies on.
-#[test]
-fn keyed_once_single_key_generates_once() {
-    explore("keyed_once_race", &small(), || {
-        let m: Arc<KeyedOnce<u32, Arc<u32>>> = Arc::new(KeyedOnce::new());
-        let gens = Arc::new(AtomicUsize::new(0));
-        thread::scope(|s| {
-            let mut handles = Vec::new();
-            for _ in 0..2 {
-                let m = m.clone();
-                let gens = gens.clone();
-                handles.push(s.spawn(move || {
-                    m.get_or_init(7, || {
-                        gens.fetch_add(1, Ordering::SeqCst);
-                        Arc::new(70)
-                    })
-                }));
-            }
-            let values: Vec<Arc<u32>> =
-                handles.into_iter().map(|h| h.join().expect("no panic")).collect();
-            assert!(Arc::ptr_eq(&values[0], &values[1]), "racers share one value");
-        });
-        assert_eq!(gens.load(Ordering::SeqCst), 1, "generator ran exactly once");
-        assert_eq!(m.initialized_len(), 1);
     });
 }
 

@@ -3,8 +3,8 @@
 //! The simulator's machine-readable artifacts (run reports, Chrome
 //! traces, bench results) all go through [`Json`]. Objects keep their
 //! insertion order so reports serialize deterministically, and the
-//! bundled [`parse`] function is enough for round-trip tests and for
-//! `cargo xtask validate-artifacts` to check emitted files offline.
+//! bundled [`parse`] function reads them back: in round-trip tests, in
+//! the sweep-grid and bench-result readers, and in `cargo xtask`.
 //!
 //! # Example
 //!

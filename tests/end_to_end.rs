@@ -367,6 +367,37 @@ fn psbsim_and_psbsweep_fail_on_an_unwritable_path_before_simulating() {
 }
 
 #[test]
+fn psbsim_artifacts_match_the_library() {
+    let obs = psb::obs::Obs::new();
+    obs.enable_trace(1 << 20);
+    obs.enable_interval(1000);
+    let cfg = MachineConfig::baseline().with_prefetcher(PrefetcherKind::PsbConfPriority);
+    let stats =
+        Simulation::new(cfg, Benchmark::Health.trace(1), 20_000).with_obs(obs.clone()).run();
+    let dir = std::env::temp_dir();
+    let report = dir.join(format!("psbsim-report-{}.json", std::process::id()));
+    let trace = dir.join(format!("psbsim-trace-{}.json", std::process::id()));
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_psbsim"))
+        .args(["--bench", "health", "--max", "20000", "--interval", "1000", "--json"])
+        .arg(&report)
+        .arg("--trace-out")
+        .arg(&trace)
+        .output()
+        .expect("psbsim starts");
+    let written = [&report, &trace].map(|path| {
+        let text = std::fs::read_to_string(path);
+        std::fs::remove_file(path).ok();
+        text
+    });
+    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    let [report, trace] = written.map(|text| text.expect("psbsim wrote the file"));
+    let want = psb::sim::json_report("health", "ConfAlloc-Priority", &stats, Some(&obs));
+    assert!(report == want.to_string(), "--json differs");
+    let want = obs.trace_json().expect("tracing is enabled");
+    assert!(trace == want.to_string(), "--trace-out differs");
+}
+
+#[test]
 fn psbsweep_artifacts_match_the_library() {
     let cells: Vec<SweepCell> = [Benchmark::Turb3d, Benchmark::DeltaBlue]
         .into_iter()

@@ -15,7 +15,7 @@
 //!    address arithmetic anywhere.
 //! 3. [`rules`] — source rules: report determinism, console output,
 //!    host clocks, the model-checker shims, locks outside `psb-model`
-//!    and the harnesses, and public docs.
+//!    and xtask, and public docs.
 //!
 //! Every finding is a `<pass>:<file>:<fn>:<kind>` group of sites (see
 //! [`Sites::group`]) gated against one committed allow-list,
@@ -24,8 +24,8 @@
 //! fail the run with paste-ready stanzas, and so does a stale entry, so
 //! no excuse outlives the code it excuses.
 //!
-//! `--report FILE` writes a `psb-analyze-v1` JSON report that
-//! `cargo xtask validate-artifacts` knows how to shape-check.
+//! `--report FILE` writes the same findings and verdict as a
+//! `psb-analyze-v1` JSON report.
 
 pub mod callgraph;
 pub mod casts;

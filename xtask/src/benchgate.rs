@@ -4,10 +4,8 @@
 //! micro benches (`cargo bench -p psb-bench`) into a temporary artifact
 //! via `PSB_BENCH_OUT`, and fails if any micro row's `ns_per_iter`
 //! regressed beyond the tolerance (default 25%, `--tolerance 0.25`).
-//! Whole-run rows in the `runs` section are reported for context but
-//! never gated: their ~1e8 ns magnitudes and single-iteration noise
-//! would need a different tolerance regime (that split is the reason
-//! the artifact has two sections).
+//! [`load_rows`] is the strict reader of a `psb-bench-v1` artifact: a
+//! row it cannot read is an error, never a bench that goes ungated.
 //!
 //! The measurement budget follows `PSB_BENCH_MS`, so CI can run a fast
 //! smoke gate (`PSB_BENCH_MS=5 cargo xtask bench-gate --tolerance 3.0`)
@@ -113,12 +111,10 @@ pub fn bench_gate(args: &[String]) -> ExitCode {
     };
     let _ = std::fs::remove_file(&fresh_file);
 
-    let verdicts = compare(&baseline.micro, &fresh.micro, tolerance);
-    print_table(&baseline.micro, &fresh.micro, &verdicts, tolerance);
-    print_runs(&baseline.runs, &fresh.runs);
+    let verdicts = compare(&baseline, &fresh, tolerance);
+    print_table(&baseline, &fresh, &verdicts, tolerance);
 
     let regressed: Vec<&str> = baseline
-        .micro
         .iter()
         .zip(&verdicts)
         .filter(|(_, v)| !matches!(v, Verdict::Ok { .. }))
@@ -127,7 +123,7 @@ pub fn bench_gate(args: &[String]) -> ExitCode {
     if regressed.is_empty() {
         println!(
             "bench-gate: all {} micro bench(es) within {:.0}% of the baseline",
-            baseline.micro.len(),
+            baseline.len(),
             tolerance * 100.0
         );
         ExitCode::SUCCESS
@@ -141,35 +137,23 @@ pub fn bench_gate(args: &[String]) -> ExitCode {
     }
 }
 
-/// The two sections of a `psb-bench-v1` artifact.
-#[derive(Debug)]
-struct Sections {
-    micro: Vec<Row>,
-    runs: Vec<Row>,
-}
-
-fn load_rows(path: &Path) -> Result<Sections, String> {
+/// Reads the `results` rows of a `psb-bench-v1` artifact, naming the
+/// first row without a string `name` and a numeric `ns_per_iter`.
+fn load_rows(path: &Path) -> Result<Vec<Row>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
     let doc = json::parse(&text).map_err(|e| format!("invalid JSON: {e}"))?;
     if doc.get("schema").and_then(Json::as_str) != Some("psb-bench-v1") {
         return Err("not a psb-bench-v1 artifact".to_string());
     }
-    let section = |key: &str| -> Vec<Row> {
-        doc.get(key)
-            .and_then(Json::as_arr)
-            .map(|rows| {
-                rows.iter()
-                    .filter_map(|r| {
-                        Some(Row {
-                            name: r.get("name")?.as_str()?.to_owned(),
-                            ns: r.get("ns_per_iter")?.as_f64()?,
-                        })
-                    })
-                    .collect()
-            })
-            .unwrap_or_default()
+    let rows = doc.get("results").and_then(Json::as_arr).ok_or("no `results` array")?;
+    let row = |(i, r): (usize, &Json)| {
+        let name = r.get("name").and_then(Json::as_str);
+        match (name, r.get("ns_per_iter").and_then(Json::as_f64)) {
+            (Some(name), Some(ns)) => Ok(Row { name: name.to_owned(), ns }),
+            _ => Err(format!("results[{i}] needs a string `name` and a numeric `ns_per_iter`")),
+        }
     };
-    Ok(Sections { micro: section("results"), runs: section("runs") })
+    rows.iter().enumerate().map(row).collect()
 }
 
 /// Compares each baseline row against the fresh run; order follows the
@@ -224,35 +208,6 @@ fn print_table(baseline: &[Row], fresh: &[Row], verdicts: &[Verdict], tolerance:
     }
 }
 
-/// Whole-run rows are informational: printed, never gated.
-fn print_runs(baseline: &[Row], fresh: &[Row]) {
-    if baseline.is_empty() && fresh.is_empty() {
-        return;
-    }
-    println!();
-    println!("whole-run rows (not gated):");
-    let names: Vec<&str> = baseline
-        .iter()
-        .map(|r| r.name.as_str())
-        .chain(
-            fresh
-                .iter()
-                .filter(|f| !baseline.iter().any(|b| b.name == f.name))
-                .map(|f| f.name.as_str()),
-        )
-        .collect();
-    for name in names {
-        let before = baseline.iter().find(|r| r.name == name);
-        let after = fresh.iter().find(|r| r.name == name);
-        println!(
-            "{:<28} {:>12} {:>12}",
-            name,
-            before.map_or("-".to_string(), |r| format!("{:.0}", r.ns)),
-            after.map_or("-".to_string(), |r| format!("{:.0}", r.ns)),
-        );
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,20 +252,19 @@ mod tests {
     }
 
     #[test]
-    fn artifact_sections_parse() {
+    fn baseline_rows_parse_and_an_unreadable_row_is_refused() {
         let dir = std::env::temp_dir().join("psb_bench_gate_parse_test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("bench.json");
-        std::fs::write(
-            &path,
-            r#"{"schema":"psb-bench-v1",
-                "results":[{"name":"a","ns_per_iter":12.5,"iters":100}],
-                "runs":[{"name":"Base","ns_per_iter":1.0e8,"iters":1}]}"#,
-        )
-        .unwrap();
-        let s = load_rows(&path).unwrap();
-        assert_eq!(s.micro, vec![row("a", 12.5)]);
-        assert_eq!(s.runs, vec![row("Base", 1.0e8)]);
+        let good = r#"{"schema":"psb-bench-v1","results":[
+            {"name":"a","ns_per_iter":12.5,"iters":100},
+            {"name":"b","ns_per_iter":3.0,"iters":64}]}"#;
+        std::fs::write(&path, good).unwrap();
+        assert_eq!(load_rows(&path).unwrap(), vec![row("a", 12.5), row("b", 3.0)]);
+        for bad in [good.replace("3.0", "\"3.0\""), good.replace(r#""name":"b","#, "")] {
+            std::fs::write(&path, bad).unwrap();
+            assert!(load_rows(&path).unwrap_err().starts_with("results[1] "));
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -14,19 +14,14 @@
 //!   update or panic. Tune with `PSB_MODEL_DFS` / `PSB_MODEL_RANDOM` /
 //!   `PSB_MODEL_PREEMPTIONS` / `PSB_MODEL_SEED`; pin one interleaving
 //!   with `PSB_MODEL_REPLAY=<schedule>`.
-//! * `validate-artifacts <file>...` — parse each emitted JSON artifact
-//!   (`psb-run-v1` reports, Chrome traces, `psb-bench-v1` results,
-//!   `psb-analyze-v1` reports) and check its shape, so CI catches a
-//!   malformed writer before a human loads the file into Perfetto or a
-//!   plotting script. Sweep grids are read by `psb_sim::read_sweep_report`.
 //! * `bench-gate` — re-run the micro benches and fail if any row
 //!   regressed beyond a tolerance against the committed
 //!   `BENCH_psb.json` baseline (see [`benchgate`]).
 //! * `mutants` — mutation-test the hot-path files against the committed
 //!   `MUTANTS.toml` survivor baseline (see [`mutants`]).
 //! * `analyze` — the static checker: hot-path panic-freedom, cast/unit
-//!   safety and the source rules (a lock outside `psb-model` and the
-//!   harnesses among them), gated against `PANICS.toml`, the one
+//!   safety and the source rules (a lock outside `psb-model` and xtask
+//!   among them), gated against `PANICS.toml`, the one
 //!   allow-list (see [`analyze`]). It needs no toolchain component.
 
 mod analyze;
@@ -35,7 +30,6 @@ mod benchgate;
 mod layering;
 mod lexer;
 mod mutants;
-mod validate;
 
 use std::path::{Path, PathBuf};
 use std::process::{Command, ExitCode};
@@ -71,15 +65,6 @@ const COMMANDS: &[Cmd] = &[
             "to the test binaries (e.g. --nocapture)",
         ],
         run: model,
-    },
-    Cmd {
-        name: "validate-artifacts",
-        synopsis: "FILE...",
-        help: &[
-            "parse and shape-check emitted JSON artifacts",
-            "(run reports, Chrome traces, bench results)",
-        ],
-        run: validate::validate_artifacts,
     },
     Cmd {
         name: "bench-gate",
